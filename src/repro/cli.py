@@ -573,8 +573,9 @@ def _partition_command(argv: List[str]) -> int:
     print(f"matrix: {matrix}")
     print(f"architecture: {arch}")
 
+    preprocessor = HotTilesPreprocessor(arch)
     start = time.perf_counter()
-    result = HotTilesPreprocessor(arch).run(matrix)
+    result = preprocessor.run(matrix)
     elapsed = time.perf_counter() - start
     chosen = result.partition.chosen
     tiled = result.tiled
@@ -600,7 +601,7 @@ def _partition_command(argv: List[str]) -> int:
             f"({s.hot_nnz} nnz hot / {s.cold_nnz} nnz cold), "
             f"selected by the {chosen.scorer} scorer"
         )
-    cost = result.cost
+    cost = preprocessor.baseline_cost(result)
     print(
         f"preprocessing: scan {cost.scan_s * 1e3:.1f} ms, "
         f"partition {cost.partition_s * 1e3:.1f} ms, "

@@ -617,7 +617,7 @@ def figure18(subset: Optional[Sequence[str]] = None) -> Figure18Result:
     rows = []
     fractions = []
     for short in shorts:
-        cost = pre.run(load_matrix(short)).cost
+        cost = pre.baseline_cost(pre.run(load_matrix(short)))
         overhead = cost.overhead_fraction
         fractions.append(overhead)
         rows.append((short, 1.0 - overhead, overhead, cost.slowdown_vs_homogeneous))

@@ -11,23 +11,37 @@ SpMM iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 __all__ = ["PreprocessCost"]
 
 
 @dataclass(frozen=True)
 class PreprocessCost:
-    """Wall-clock stage timings of one preprocessing run."""
+    """Wall-clock stage timings of one preprocessing run.
+
+    The homogeneous baseline is only timed for the Fig. 18 accounting
+    (:meth:`repro.pipeline.preprocess.HotTilesPreprocessor.baseline_cost`);
+    the overhead properties below need it.
+    """
 
     scan_s: float  #: tiling + per-tile statistics
     partition_s: float  #: per-tile modeling + heuristics + selection
     format_generation_s: float  #: hot and cold formats actually emitted
-    homogeneous_format_s: float  #: baseline single-format generation
+    homogeneous_format_s: Optional[float] = None  #: baseline single-format generation
 
     def __post_init__(self) -> None:
         for name in ("scan_s", "partition_s", "format_generation_s", "homogeneous_format_s"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative")
+
+    def _baseline_s(self) -> float:
+        if self.homogeneous_format_s is None:
+            raise ValueError(
+                "homogeneous baseline not timed; see HotTilesPreprocessor.baseline_cost"
+            )
+        return self.homogeneous_format_s
 
     @property
     def total_s(self) -> float:
@@ -38,7 +52,7 @@ class PreprocessCost:
     def hottiles_overhead_s(self) -> float:
         """The HotTiles-specific share: everything beyond generating one
         worker type's format (the paper's 'Hot Tiles Overhead')."""
-        return max(self.total_s - self.homogeneous_format_s, 0.0)
+        return max(self.total_s - self._baseline_s(), 0.0)
 
     @property
     def overhead_fraction(self) -> float:
@@ -49,6 +63,7 @@ class PreprocessCost:
     def slowdown_vs_homogeneous(self) -> float:
         """How many homogeneous format generations the pipeline costs
         (paper: 'about four times the preprocessing overhead')."""
-        if self.homogeneous_format_s <= 0:
+        baseline_s = self._baseline_s()
+        if baseline_s <= 0:
             return float("inf") if self.total_s > 0 else 1.0
-        return self.total_s / self.homogeneous_format_s
+        return self.total_s / baseline_s

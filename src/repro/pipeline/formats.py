@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from repro.core.traits import SparseFormat, Traversal, WorkerTraits
-from repro.sparse.tiling import TiledMatrix
+from repro.sparse.tiling import TiledMatrix, concat_ranges
 
 __all__ = ["UntiledCoo", "TiledCoo", "UntiledCsr", "TiledCsr", "build_format", "AnyFormat"]
 
@@ -185,17 +185,18 @@ def build_format(
     tile_subset = np.asarray(tile_subset, dtype=bool)
     if tile_subset.shape != (tiled.n_tiles,):
         raise ValueError(f"tile_subset must have shape ({tiled.n_tiles},)")
-    tile_idx = np.flatnonzero(tile_subset)
-    pieces = [np.arange(tiled.tile_offsets[i], tiled.tile_offsets[i + 1]) for i in tile_idx]
-    nnz_idx = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
     matrix = tiled.matrix
+    tile_sizes = np.diff(tiled.tile_offsets)
 
     if worker.traversal is Traversal.UNTILED_ROW_ORDERED:
-        key = tiled.rows[nnz_idx] * np.int64(max(matrix.n_cols, 1)) + tiled.cols[nnz_idx]
-        nnz_idx = nnz_idx[np.argsort(key, kind="stable")]
-        rows = tiled.rows[nnz_idx]
-        cols = tiled.cols[nnz_idx]
-        vals = tiled.vals[nnz_idx]
+        # The canonical matrix order is already row-major: scatter the
+        # per-nonzero tile mask back through ``perm`` and take the
+        # selected nonzeros in place.
+        selected = np.empty(matrix.nnz, dtype=bool)
+        selected[tiled.perm] = np.repeat(tile_subset, tile_sizes)
+        rows = matrix.rows[selected]
+        cols = matrix.cols[selected]
+        vals = matrix.vals[selected]
         if worker.sparse_format is SparseFormat.COO_LIKE:
             return UntiledCoo(matrix.n_rows, matrix.n_cols, rows, cols, vals)
         counts = np.bincount(rows, minlength=matrix.n_rows)
@@ -204,10 +205,12 @@ def build_format(
         return UntiledCsr(matrix.n_rows, matrix.n_cols, indptr, cols, vals)
 
     # Tiled traversal: nonzeros already tile-major inside TiledMatrix.
+    tile_idx = np.flatnonzero(tile_subset)
+    sizes = tile_sizes[tile_idx]
+    nnz_idx = concat_ranges(tiled.tile_offsets[tile_idx], sizes)
     rows = tiled.rows[nnz_idx]
     cols = tiled.cols[nnz_idx]
     vals = tiled.vals[nnz_idx]
-    sizes = tiled.tile_offsets[tile_idx + 1] - tiled.tile_offsets[tile_idx]
     offsets = np.zeros(tile_idx.shape[0] + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     tile_row = tiled.stats.tile_row[tile_idx]
@@ -217,24 +220,17 @@ def build_format(
             matrix.n_rows, matrix.n_cols, tile_row, tile_col, offsets, rows, cols, vals
         )
 
-    # Tiled CSR: local indptr per tile over the (clipped) tile height.
+    # Tiled CSR: one local indptr per tile over the (clipped) tile height,
+    # laid end to end.  Count each nonzero into slot ``local_row + 1`` of
+    # its tile's indptr, then cumsum every segment from its zero slot.
     th = tiled.tile_height
-    indptr_chunks = []
+    base = tile_row * th
+    heights = np.minimum(th, matrix.n_rows - base)
     indptr_offsets = np.zeros(tile_idx.shape[0], dtype=np.int64)
-    pos = 0
-    for j, t in enumerate(tile_idx):
-        lo, hi = offsets[j], offsets[j + 1]
-        base = int(tile_row[j]) * th
-        height = min(th, matrix.n_rows - base)
-        counts = np.bincount(rows[lo:hi] - base, minlength=height)
-        local = np.zeros(height + 1, dtype=np.int64)
-        np.cumsum(counts, out=local[1:])
-        indptr_chunks.append(local)
-        indptr_offsets[j] = pos
-        pos += height + 1
-    indptrs = (
-        np.concatenate(indptr_chunks) if indptr_chunks else np.zeros(0, dtype=np.int64)
-    )
+    np.cumsum(heights[:-1] + 1, out=indptr_offsets[1:])
+    slot = rows + np.repeat(indptr_offsets + 1 - base, sizes)
+    running = np.cumsum(np.bincount(slot, minlength=int((heights + 1).sum())))
+    indptrs = running - np.repeat(running[indptr_offsets], heights + 1)
     return TiledCsr(
         n_rows=matrix.n_rows,
         n_cols=matrix.n_cols,

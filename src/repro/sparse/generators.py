@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sparse.matrix import SparseMatrix
+from repro.sparse.matrix import SparseMatrix, check_indices
 
 __all__ = [
     "uniform_random",
@@ -45,9 +45,9 @@ def uniform_random(
     _check_budget(n_rows, n_cols, nnz)
     rng = np.random.default_rng(seed)
     rows, cols = _sample_unique(
-        lambda k: (rng.integers(0, n_rows, k), rng.integers(0, n_cols, k)), nnz, n_rows * n_cols
+        lambda k: (rng.integers(0, n_rows, k), rng.integers(0, n_cols, k)), nnz, n_rows, n_cols
     )
-    return SparseMatrix(n_rows, n_cols, rows, cols, dtype=dtype)
+    return _pattern(n_rows, n_cols, rows, cols, dtype)
 
 
 def rmat(
@@ -74,19 +74,27 @@ def rmat(
     n = 1 << scale
     _check_budget(n, n, nnz)
     rng = np.random.default_rng(seed)
-    cum = np.cumsum([a, b, c, d])
+    # Quadrant q in 0..3 is drawn as the number of cumulants <= u.  The
+    # last cumulant is 1.0 by definition; the rounded float sum can fall
+    # just short of it, so only the first three are ever compared.
+    c0, c1, c2 = np.cumsum([a, b, c])
 
     def draw(k: int):
         rows = np.zeros(k, dtype=np.int64)
         cols = np.zeros(k, dtype=np.int64)
         for _ in range(scale):
-            quad = np.searchsorted(cum, rng.random(k), side="right")
-            rows = rows * 2 + quad // 2
-            cols = cols * 2 + quad % 2
+            u = rng.random(k)
+            # Row bit q // 2 is q >= 2; col bit q % 2 is q in {1, 3}.
+            hi = u >= c1
+            lo = ((u >= c0) != hi) | (u >= c2)
+            rows <<= 1
+            rows |= hi
+            cols <<= 1
+            cols |= lo
         return rows, cols
 
-    rows, cols = _sample_unique(draw, nnz, n * n)
-    mat = SparseMatrix(n, n, rows, cols, dtype=dtype)
+    rows, cols = _sample_unique(draw, nnz, n, n)
+    mat = _pattern(n, n, rows, cols, dtype)
     if symmetrize:
         mat = SparseMatrix(
             n,
@@ -138,8 +146,8 @@ def banded(
             np.concatenate([cols, c_s])[order],
         )
 
-    rows, cols = _sample_unique(draw, nnz, n * n)
-    return SparseMatrix(n, n, rows, cols, dtype=dtype)
+    rows, cols = _sample_unique(draw, nnz, n, n)
+    return _pattern(n, n, rows, cols, dtype)
 
 
 def stencil(n: int, offsets: Sequence[int], dtype: np.dtype = np.float32) -> SparseMatrix:
@@ -155,7 +163,8 @@ def stencil(n: int, offsets: Sequence[int], dtype: np.dtype = np.float32) -> Spa
     rows = np.repeat(np.arange(n, dtype=np.int64), offsets.shape[0])
     cols = rows + np.tile(offsets, n)
     keep = (cols >= 0) & (cols < n)
-    return SparseMatrix(n, n, rows[keep], cols[keep], dtype=dtype)
+    # Rows ascend and each row's offsets are sorted and distinct.
+    return _pattern(n, n, rows[keep], cols[keep], dtype)
 
 
 def community_blocks(
@@ -214,8 +223,8 @@ def community_blocks(
         )
 
     del n_intra
-    rows, cols = _sample_unique(draw, nnz, n * n)
-    return SparseMatrix(n, n, rows, cols, dtype=dtype)
+    rows, cols = _sample_unique(draw, nnz, n, n)
+    return _pattern(n, n, rows, cols, dtype)
 
 
 def dense_blocks(
@@ -256,8 +265,8 @@ def dense_blocks(
             np.concatenate([c_b, c_o])[order],
         )
 
-    rows, cols = _sample_unique(draw, nnz, n * n)
-    return SparseMatrix(n, n, rows, cols, dtype=dtype)
+    rows, cols = _sample_unique(draw, nnz, n, n)
+    return _pattern(n, n, rows, cols, dtype)
 
 
 def mycielskian(order: int, dtype: np.dtype = np.float32) -> SparseMatrix:
@@ -318,33 +327,67 @@ def _check_budget(n_rows: int, n_cols: int, nnz: int) -> None:
         raise ValueError(f"cannot place {nnz} nonzeros in a {n_rows}x{n_cols} matrix")
 
 
-def _sample_unique(draw, nnz: int, capacity: int, max_rounds: int = 64):
+def _pattern(
+    n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray, dtype: np.dtype
+) -> SparseMatrix:
+    """Unit-valued matrix over coordinates that are already canonical.
+
+    The coordinates must be row-major sorted and distinct, as
+    :func:`_sample_unique` returns them; only the bounds are checked.
+    """
+    check_indices(n_rows, n_cols, rows, cols)
+    vals = np.ones(rows.shape[0], dtype=dtype)
+    return SparseMatrix._from_canonical(n_rows, n_cols, rows, cols, vals)
+
+
+def _first_seen(keys: np.ndarray):
+    """``np.unique(keys, return_index=True)`` for non-empty, non-negative
+    int64 keys.
+
+    Packs each key with its position into one integer so a plain value
+    sort stands in for the stable argsort; falls back to ``np.unique``
+    when the packed value would not fit.
+    """
+    n = keys.shape[0]
+    shift = (n - 1).bit_length()
+    if int(keys.max()) >> (63 - shift):
+        return np.unique(keys, return_index=True)
+    packed = np.sort((keys << shift) | np.arange(n, dtype=np.int64))
+    sorted_keys = packed >> shift
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    return sorted_keys[head], packed[head] & ((1 << shift) - 1)
+
+
+def _sample_unique(draw, nnz: int, n_rows: int, n_cols: int, max_rounds: int = 64):
     """Draw coordinates until exactly ``nnz`` unique cells are collected.
 
     ``draw(k)`` returns ``k`` (row, col) samples with replacement; duplicate
-    cells are discarded and topped up.  The dedup keeps first-seen samples so
-    the marginal distribution of the generator is preserved.
+    cells are discarded and topped up.  The dedup keeps the first-seen
+    samples so the marginal distribution of the generator is preserved;
+    the kept cells come back row-major sorted.
     """
     if nnz == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z
-    rows = np.zeros(0, dtype=np.int64)
-    cols = np.zeros(0, dtype=np.int64)
-    span = np.int64(capacity)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    span = np.int64(n_cols)
+    # Sorted unique cell keys.  Kept cells always precede a round's new
+    # draws, so their order among themselves never decides what is kept.
+    keys = np.zeros(0, dtype=np.int64)
+    first = keys
     for _ in range(max_rounds):
-        deficit = nnz - rows.shape[0]
+        deficit = nnz - keys.shape[0]
         if deficit <= 0:
             break
         r, c = draw(int(deficit * 1.3) + 8)
-        rows = np.concatenate([rows, np.asarray(r, dtype=np.int64)])
-        cols = np.concatenate([cols, np.asarray(c, dtype=np.int64)])
-        key = rows * span + cols  # capacity fits; key unique per cell
-        _, first = np.unique(key, return_index=True)
-        first.sort()
-        rows, cols = rows[first], cols[first]
-    if rows.shape[0] < nnz:
+        drawn = np.asarray(r, dtype=np.int64) * span + np.asarray(c, dtype=np.int64)
+        keys, first = _first_seen(np.concatenate([keys, drawn]))
+    if keys.shape[0] < nnz:
         raise RuntimeError(
             f"generator failed to reach {nnz} unique nonzeros "
-            f"(got {rows.shape[0]}); the target density may be unreachable"
+            f"(got {keys.shape[0]}); the target density may be unreachable"
         )
-    return rows[:nnz], cols[:nnz]
+    if keys.shape[0] > nnz:
+        # The nnz first-seen cells; first-seen positions are distinct.
+        keys = keys[first <= np.partition(first, nnz - 1)[nnz - 1]]
+    return keys // span, keys % span

@@ -62,14 +62,7 @@ class SparseMatrix:
             vals = np.asarray(vals, dtype=dtype)
             if vals.shape != rows.shape:
                 raise ValueError("vals must have the same length as rows/cols")
-        if rows.size:
-            if rows.min(initial=0) < 0 or cols.min(initial=0) < 0:
-                raise ValueError("negative indices are not allowed")
-            if rows.max(initial=-1) >= n_rows or cols.max(initial=-1) >= n_cols:
-                raise ValueError(
-                    f"index out of range for a {n_rows}x{n_cols} matrix "
-                    f"(max row {rows.max()}, max col {cols.max()})"
-                )
+        check_indices(n_rows, n_cols, rows, cols)
         rows, cols, vals = _canonicalize(n_rows, n_cols, rows, cols, vals)
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
@@ -361,6 +354,18 @@ class SparseMatrix:
             setattr(self, name, value)
         for arr in (self.rows, self.cols, self.vals):
             arr.flags.writeable = False
+
+
+def check_indices(n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Reject negative or out-of-range coordinates."""
+    if rows.size:
+        if rows.min(initial=0) < 0 or cols.min(initial=0) < 0:
+            raise ValueError("negative indices are not allowed")
+        if rows.max(initial=-1) >= n_rows or cols.max(initial=-1) >= n_cols:
+            raise ValueError(
+                f"index out of range for a {n_rows}x{n_cols} matrix "
+                f"(max row {rows.max()}, max col {cols.max()})"
+            )
 
 
 def _canonicalize(

@@ -96,7 +96,9 @@ class TiledMatrix:
         trow = matrix.rows // tile_height
         tcol = matrix.cols // tile_width
         key = trow * np.int64(max(self.n_panel_cols, 1)) + tcol
-        order = np.argsort(key, kind="stable")
+        # numpy's stable sort of 16-bit integers is a linear radix sort.
+        narrow = self.n_panel_rows * self.n_panel_cols <= 1 << 16
+        order = np.argsort(key.astype(np.uint16) if narrow else key, kind="stable")
 
         #: nonzeros permuted into tile-major order (tiles sorted row-panel
         #: major; inside a tile the original row-major order is preserved).
@@ -106,17 +108,9 @@ class TiledMatrix:
         self.vals = matrix.vals[order]
 
         sorted_key = key[order]
-        if sorted_key.size:
-            boundary = np.empty(sorted_key.shape[0], dtype=bool)
-            boundary[0] = True
-            np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-            tile_keys = sorted_key[starts]
-            counts = np.diff(np.append(starts, sorted_key.shape[0]))
-        else:
-            starts = np.zeros(0, dtype=np.int64)
-            tile_keys = np.zeros(0, dtype=np.int64)
-            counts = np.zeros(0, dtype=np.int64)
+        starts = np.flatnonzero(_run_heads(sorted_key))
+        tile_keys = sorted_key[starts]
+        counts = np.diff(np.append(starts, sorted_key.shape[0]))
 
         #: offset of each tile's first nonzero in the permuted arrays,
         #: with a trailing sentinel equal to nnz.
@@ -136,8 +130,9 @@ class TiledMatrix:
 
         # Per-panel statistics.  Each matrix row lives in exactly one panel,
         # so the distinct rows of a panel are the distinct row values binned
-        # by panel index.
-        present_rows = np.unique(matrix.rows)
+        # by panel index; canonical rows are sorted, so those are the
+        # first entry of each run.
+        present_rows = matrix.rows[_run_heads(matrix.rows)]
         self.panel_uniq_rids = np.bincount(
             present_rows // tile_height, minlength=max(self.n_panel_rows, 1)
         ).astype(np.int64)
@@ -243,10 +238,7 @@ class TiledMatrix:
         if self.n_tiles == 0:
             return
         trow = self.stats.tile_row
-        boundary = np.empty(trow.shape[0], dtype=bool)
-        boundary[0] = True
-        np.not_equal(trow[1:], trow[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
+        starts = np.flatnonzero(_run_heads(trow))
         ends = np.append(starts[1:], trow.shape[0])
         for s, e in zip(starts, ends):
             yield int(trow[s]), np.arange(s, e)
@@ -280,29 +272,31 @@ class TiledMatrix:
         )
 
 
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal, adjacent values."""
+    heads = np.empty(values.shape[0], dtype=bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
 def _unique_per_segment(
     sorted_key: np.ndarray, values: np.ndarray, starts: np.ndarray, presorted: bool
 ) -> np.ndarray:
     """Count distinct ``values`` inside each segment of ``sorted_key``.
 
-    ``sorted_key`` is non-decreasing; segments begin at ``starts``.  When
-    ``presorted`` the values are already non-decreasing within each segment
-    (true for row ids, because the canonical nonzero order is row-major);
-    otherwise pairs are sorted first.
+    ``sorted_key`` is non-decreasing; non-empty segments begin at
+    ``starts``.  When ``presorted`` the values are already non-decreasing
+    within each segment (true for row ids, because the canonical nonzero
+    order is row-major); otherwise pairs are sorted first.
     """
     n = sorted_key.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    span = np.int64(values.max(initial=0)) + 1
-    pair = sorted_key * span + values
-    if not presorted:
-        pair = np.sort(pair)
-    new_pair = np.empty(n, dtype=bool)
-    new_pair[0] = True
-    np.not_equal(pair[1:], pair[:-1], out=new_pair[1:])
-    # Distinct pairs per segment: cumulative distinct-pair count evaluated at
-    # segment boundaries.
-    cum = np.cumsum(new_pair)
-    seg_end = np.append(starts[1:], n) - 1
-    seg_begin_cum = np.concatenate(([0], cum[seg_end[:-1]]))
-    return (cum[seg_end] - seg_begin_cum).astype(np.int64)
+    if presorted:
+        new_value = _run_heads(values)
+        new_value[starts] = True
+    else:
+        span = np.int64(values.max(initial=0)) + 1
+        new_value = _run_heads(np.sort(sorted_key * span + values))
+    return np.add.reduceat(new_value, starts, dtype=np.int64)

@@ -1,8 +1,12 @@
 """End-to-end preprocessing pipeline tests."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.experiments import figures
+from repro.pipeline import preprocess
 from repro.pipeline.cost import PreprocessCost
 from repro.pipeline.preprocess import HotTilesPreprocessor
 from repro.sparse import generators
@@ -53,6 +57,52 @@ class TestPipeline:
         assert result.cold_format.nnz == matrix.nnz
 
 
+class TestHomogeneousBaseline:
+    """The Fig. 18 baseline is timed on demand, never inside ``run()``."""
+
+    def test_run_builds_only_the_emitted_formats(self, matrix, monkeypatch):
+        calls = []
+        real = preprocess.build_format
+        monkeypatch.setattr(
+            preprocess,
+            "build_format",
+            lambda tiled, subset, worker: calls.append(subset) or real(tiled, subset, worker),
+        )
+        result = HotTilesPreprocessor(tiny_arch()).run(matrix)
+        assignment = result.partition.chosen.assignment
+        assert len(calls) == int(assignment.any()) + int((~assignment).any())
+        assert result.cost.homogeneous_format_s is None
+        with pytest.raises(ValueError, match="baseline not timed"):
+            result.cost.overhead_fraction
+
+    @pytest.mark.parametrize("n_hot", [0, 2])
+    def test_baseline_cost_times_the_baseline(self, matrix, n_hot):
+        pre = HotTilesPreprocessor(tiny_arch(n_hot=n_hot))
+        result = pre.run(matrix)
+        cost = pre.baseline_cost(result)
+        assert cost.homogeneous_format_s > 0
+        assert (cost.scan_s, cost.partition_s, cost.format_generation_s) == (
+            result.cost.scan_s,
+            result.cost.partition_s,
+            result.cost.format_generation_s,
+        )
+        assert 0 <= cost.overhead_fraction < 1
+
+    def test_figure18_reports_positive_baseline(self, monkeypatch):
+        costs = []
+        real = HotTilesPreprocessor.baseline_cost
+        monkeypatch.setattr(
+            HotTilesPreprocessor,
+            "baseline_cost",
+            lambda self, result: costs.append(real(self, result)) or costs[-1],
+        )
+        result = figures.figure18(subset=["pap"])
+        assert len(costs) == 1 and costs[0].homogeneous_format_s > 0
+        (_m, fmt_share, overhead_share, slowdown), = result.rows
+        assert 0 < fmt_share and 0 < overhead_share < 1
+        assert math.isfinite(slowdown) and slowdown >= 1.0
+
+
 class TestCostModel:
     def test_overhead_fraction_bounds(self):
         cost = PreprocessCost(1.0, 2.0, 3.0, 2.0)
@@ -67,6 +117,14 @@ class TestCostModel:
     def test_zero_baseline(self):
         cost = PreprocessCost(1.0, 0.0, 0.0, 0.0)
         assert cost.slowdown_vs_homogeneous == float("inf")
+
+    def test_baseline_defaults_to_untimed(self):
+        cost = PreprocessCost(1.0, 1.0, 2.0)
+        assert cost.homogeneous_format_s is None
+        assert cost.total_s == pytest.approx(4.0)
+        for prop in ("hottiles_overhead_s", "overhead_fraction", "slowdown_vs_homogeneous"):
+            with pytest.raises(ValueError, match="baseline not timed"):
+                getattr(cost, prop)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

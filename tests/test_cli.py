@@ -116,6 +116,22 @@ class TestPartitionCommand:
         loaded = np.load(files[0])
         assert len(loaded.files) > 0
 
+    def test_partition_reports_positive_baseline(self, capsys, tmp_path, monkeypatch):
+        from repro.pipeline.preprocess import HotTilesPreprocessor
+
+        costs = []
+        real = HotTilesPreprocessor.baseline_cost
+        monkeypatch.setattr(
+            HotTilesPreprocessor,
+            "baseline_cost",
+            lambda self, result: costs.append(real(self, result)) or costs[-1],
+        )
+        path = self._write_matrix(tmp_path)
+        assert main(["partition", path]) == 0
+        assert len(costs) == 1 and costs[0].homogeneous_format_s > 0
+        share = f"HotTiles overhead share {costs[0].overhead_fraction:.0%}"
+        assert share in capsys.readouterr().out
+
     def test_partition_piuma(self, capsys, tmp_path):
         path = self._write_matrix(tmp_path)
         assert main(["partition", path, "--arch", "piuma"]) == 0
