@@ -22,6 +22,15 @@ partitionings are then scored with the *final predicted runtime* formulas
 (Fig. 8, last column) -- which re-add the maximum-reuse first-tile charges,
 the shared-bandwidth term, and the merge cost -- and the best one wins.
 
+A tile's modeled cost depends only on its own statistics and on whether it
+is the first tile of its type in its row panel, so planning first builds
+one eight-array cost table (hot/cold x base/first x time/bytes, four
+:meth:`~repro.core.model.AnalyticalModel.tile_costs` calls) and everything
+after that -- the sweeps, the final-runtime scorer, the block split --
+reads that table.  :meth:`HotTilesPartitioner.partition` and
+:func:`repair_plan` share this one path (:func:`_plan_from_table`); a
+from-scratch plan is a repair in which every tile is dirty.
+
 On architectures with race-free atomic updates (PIUMA) there are no output
 buffers, ``t_merge`` is zero, and only the Parallel heuristics are used.
 
@@ -38,14 +47,14 @@ scorer; without a PCIe link both scorers are bit-identical.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.heterogeneous import Architecture
 from repro.core import contention
-from repro.core.model import AnalyticalModel, TileCosts
+from repro.core.model import AnalyticalModel
 from repro.core.traits import WorkerKind
 from repro.sparse.tiling import TiledMatrix, TileStats
 
@@ -102,8 +111,9 @@ _HEURISTIC_MODE = {
 #: it refines whichever whole-tile candidate scored best.
 _SWEEP_HEURISTICS = [h for h in Heuristic if h in _HEURISTIC_MODE]
 
-#: The eight per-tile cost arrays (hot/cold x base/first x time/bytes) in
-#: the order :func:`_cost_table` produces them.
+#: The eight per-tile cost arrays (hot/cold x base/first x time/bytes): the
+#: keys of a :func:`_cost_table` and the matching :class:`PartitionCache`
+#: fields.
 _TABLE_NAMES = (
     "hot_base_time", "hot_first_time", "hot_base_bytes", "hot_first_bytes",
     "cold_base_time", "cold_first_time", "cold_base_bytes", "cold_first_bytes",
@@ -186,6 +196,9 @@ class HotTilesResult:
 
     chosen: PartitionResult
     candidates: Dict[Heuristic, PartitionResult]
+    #: the per-tile cost table the candidates were scored from; seeds
+    #: :func:`repair_plan` without re-running the model.
+    cache: PartitionCache = field(repr=False)
 
 
 def first_of_type_masks(
@@ -256,88 +269,15 @@ class HotTilesPartitioner:
         return "contention" if self._contended() else "naive"
 
     # ------------------------------------------------------------------
-    def tile_costs(self, tiled: TiledMatrix) -> Tuple[TileCosts, TileCosts]:
-        """Maximum-reuse per-tile costs ``(hot, cold)`` (partitioning input)."""
-        hot = self.model.tile_costs(tiled, self.arch.hot.traits)
-        cold = self.model.tile_costs(tiled, self.arch.cold.traits)
-        return hot, cold
-
     def partition(self, tiled: TiledMatrix) -> HotTilesResult:
         """Run all applicable heuristics and keep the best candidate.
 
-        With zero workers of one type the partitioning degenerates to the
+        Models every tile once into the cost table, then plans from it
+        exactly as :func:`repair_plan` does with every tile dirty.  With
+        zero workers of one type the partitioning degenerates to the
         corresponding homogeneous assignment.
         """
-        n = tiled.n_tiles
-        if self.arch.hot.count == 0 or self.arch.cold.count == 0:
-            all_hot = self.arch.cold.count == 0
-            assignment = np.full(n, all_hot, dtype=bool)
-            result = self._score(tiled, assignment, ExecutionMode.PARALLEL, "homogeneous")
-            return HotTilesResult(chosen=result, candidates={})
-
-        hot_costs, cold_costs = self.tile_costs(tiled)
-        heuristics = _SWEEP_HEURISTICS
-        if self.arch.atomic_updates:
-            # No output buffers to merge: serial operation can never win
-            # under the model (Sec. V-B), so only Parallel heuristics run.
-            heuristics = [Heuristic.MIN_TIME_PARALLEL, Heuristic.MIN_BYTE_PARALLEL]
-
-        candidates: Dict[Heuristic, PartitionResult] = {}
-        for heuristic in heuristics:
-            assignment = self._heuristic_assignment(heuristic, hot_costs, cold_costs)
-            candidates[heuristic] = self._score(
-                tiled, assignment, _HEURISTIC_MODE[heuristic], heuristic.value
-            )
-        base = min(candidates.values(), key=lambda r: r.predicted_time_s)
-        table = dict(
-            zip(_TABLE_NAMES, _cost_table(self, tiled, n, base=(hot_costs, cold_costs)))
-        )
-        candidates[Heuristic.BLOCK_SPLIT] = _block_split_candidate(
-            self, tiled, table, base
-        )
-        # min keeps the first of tied values, and the whole-tile heuristics
-        # precede BLOCK_SPLIT: the split is chosen only when strictly better.
-        chosen = min(candidates.values(), key=lambda r: r.predicted_time_s)
-        return HotTilesResult(chosen=chosen, candidates=candidates)
-
-    # ------------------------------------------------------------------
-    def _heuristic_assignment(
-        self, heuristic: Heuristic, hot_costs: TileCosts, cold_costs: TileCosts
-    ) -> np.ndarray:
-        n_hw, n_cw = self.arch.hot.count, self.arch.cold.count
-        if heuristic in (Heuristic.MIN_TIME_PARALLEL, Heuristic.MIN_TIME_SERIAL):
-            order = np.argsort(hot_costs.time_s - cold_costs.time_s, kind="stable")
-            prefix_hot = _prefix(hot_costs.time_s[order] / n_hw)
-            suffix_cold = _suffix(cold_costs.time_s[order] / n_cw)
-            if heuristic is Heuristic.MIN_TIME_PARALLEL:
-                objective = np.maximum(prefix_hot, suffix_cold)
-            else:
-                objective = prefix_hot + suffix_cold
-        else:
-            order = np.argsort(hot_costs.bytes - cold_costs.bytes, kind="stable")
-            objective = _prefix(hot_costs.bytes[order]) + _suffix(cold_costs.bytes[order])
-        cutoff = _cutoff_sweep(objective)
-        assignment = np.zeros(hot_costs.n_tiles, dtype=bool)
-        assignment[order[:cutoff]] = True
-        return assignment
-
-    def _score(
-        self,
-        tiled: TiledMatrix,
-        assignment: np.ndarray,
-        mode: ExecutionMode,
-        label: str,
-    ) -> PartitionResult:
-        time_s, naive_s, totals = self._predicted(tiled, assignment, mode)
-        return PartitionResult(
-            label=label,
-            assignment=assignment,
-            mode=mode,
-            predicted_time_s=time_s,
-            totals=totals,
-            naive_time_s=naive_s,
-            scorer=self.scorer,
-        )
+        return _plan_from_table(self, tiled, _cost_table(self, tiled))
 
     # ------------------------------------------------------------------
     def predicted_runtime(
@@ -355,72 +295,26 @@ class HotTilesPartitioner:
         the hot group adds a ``bh / BW_pcie`` term to the hot side --
         and, under the default contention-aware scorer, the full
         :func:`repro.core.contention.contended_runtime` refinement.
-        """
-        time_s, _naive, totals = self._predicted(tiled, assignment, mode)
-        return time_s, totals
 
-    def _predicted(
-        self,
-        tiled: TiledMatrix,
-        assignment: np.ndarray,
-        mode: ExecutionMode,
-    ) -> Tuple[float, float, PredictedTotals]:
-        """``(scorer time, naive time, totals)`` for one assignment."""
+        Only the two readjusted model evaluations this assignment needs
+        are run (not the full cost table): calibration calls this in its
+        search loop.
+        """
         assignment = np.asarray(assignment, dtype=bool)
-        totals, hot_times, cold_times = self._totals_with_times(
-            tiled, assignment, mode
+        hot_first, cold_first = first_of_type_masks(tiled, assignment)
+        hot = self.model.tile_costs(tiled, self.arch.hot.traits, first_mask=hot_first)
+        cold = self.model.tile_costs(tiled, self.arch.cold.traits, first_mask=cold_first)
+        time_s, _naive, totals = _evaluate(
+            self, (hot.time_s, hot.bytes, cold.time_s, cold.bytes), assignment, mode,
+            tiled.stats.tile_row, tiled.stats.uniq_rids, tiled.matrix.n_rows,
         )
-        naive_s = contention.naive_runtime(
-            self.arch, totals, mode is ExecutionMode.SERIAL
-        )
-        if not self._contended():
-            return naive_s, naive_s, totals
-        hot_floor, cold_floor = contention.group_floors(
-            self.arch, hot_times, cold_times,
-            tiled.stats.uniq_rids, tiled.stats.tile_row, assignment,
-        )
-        time_s = contention.contended_runtime(
-            self.arch, totals, mode is ExecutionMode.SERIAL,
-            hot_floor=hot_floor, cold_floor=cold_floor,
-        )
-        return time_s, naive_s, totals
+        return time_s, totals
 
     def predict_homogeneous(self, tiled: TiledMatrix, kind: WorkerKind) -> float:
         """Predicted runtime of a homogeneous execution (Fig. 17 baselines)."""
         assignment = np.full(tiled.n_tiles, kind is WorkerKind.HOT, dtype=bool)
         time_s, _ = self.predicted_runtime(tiled, assignment, ExecutionMode.PARALLEL)
         return time_s
-
-    def _totals(
-        self, tiled: TiledMatrix, assignment: np.ndarray, mode: ExecutionMode
-    ) -> PredictedTotals:
-        totals, _, _ = self._totals_with_times(tiled, assignment, mode)
-        return totals
-
-    def _totals_with_times(
-        self, tiled: TiledMatrix, assignment: np.ndarray, mode: ExecutionMode
-    ) -> Tuple[PredictedTotals, np.ndarray, np.ndarray]:
-        """Totals plus the per-tile readjusted time arrays behind them."""
-        hot_first, cold_first = first_of_type_masks(tiled, assignment)
-        hot_adj = self.model.tile_costs(tiled, self.arch.hot.traits, first_mask=hot_first)
-        cold_adj = self.model.tile_costs(tiled, self.arch.cold.traits, first_mask=cold_first)
-        any_hot = bool(assignment.any())
-        any_cold = bool((~assignment).any())
-        th_total = hot_adj.total_time(assignment) / self.arch.hot.count if any_hot else 0.0
-        tc_total = cold_adj.total_time(~assignment) / self.arch.cold.count if any_cold else 0.0
-        bh_total = hot_adj.total_bytes(assignment) if any_hot else 0.0
-        bc_total = cold_adj.total_bytes(~assignment) if any_cold else 0.0
-        t_merge = 0.0
-        if mode is ExecutionMode.PARALLEL and any_hot and any_cold:
-            t_merge = self.arch.merge_time_s(tiled.matrix.n_rows)
-        totals = PredictedTotals(
-            th_total=th_total,
-            tc_total=tc_total,
-            bh_total=bh_total,
-            bc_total=bc_total,
-            t_merge=t_merge,
-        )
-        return totals, hot_adj.time_s, cold_adj.time_s
 
 
 def exhaustive_partition(
@@ -460,14 +354,8 @@ def exhaustive_partition(
         valid &= ~any_cold
 
     # Per-tile costs only depend on whether a tile is the first of its
-    # type in its panel, so two model evaluations per worker type (first
-    # vs not-first) cover every assignment.
-    model = partitioner.model
-    all_first = np.ones(n, dtype=bool)
-    h_base = model.tile_costs(tiled, arch.hot.traits)
-    h_full = model.tile_costs(tiled, arch.hot.traits, first_mask=all_first)
-    c_base = model.tile_costs(tiled, arch.cold.traits)
-    c_full = model.tile_costs(tiled, arch.cold.traits, first_mask=all_first)
+    # type in its panel, so the cost table covers every assignment.
+    table = _cost_table(partitioner, tiled)
 
     # First-of-type masks for every assignment: tiles are panel-major, so
     # each panel is a contiguous column range and its first hot (cold)
@@ -490,18 +378,22 @@ def exhaustive_partition(
         has = sub.any(axis=1)
         cold_first[rows_idx[has], s + sub.argmax(axis=1)[has]] = True
 
-    def group_totals(first, chosen, base, full, count, active):
-        time_tile = np.where(first, full.time_s[None, :], base.time_s[None, :])
-        byte_tile = np.where(first, full.bytes[None, :], base.bytes[None, :])
+    def group_totals(side, first, chosen, count, active):
+        time_tile = np.where(
+            first, table[f"{side}_first_time"][None, :], table[f"{side}_base_time"][None, :]
+        )
+        byte_tile = np.where(
+            first, table[f"{side}_first_bytes"][None, :], table[f"{side}_base_bytes"][None, :]
+        )
         t = (time_tile * chosen).sum(axis=1) / max(count, 1)
         b = (byte_tile * chosen).sum(axis=1)
         return np.where(active, t, 0.0), np.where(active, b, 0.0), time_tile
 
     th_total, bh_total, hot_time_tile = group_totals(
-        hot_first, A, h_base, h_full, arch.hot.count, any_hot
+        "hot", hot_first, A, arch.hot.count, any_hot
     )
     tc_total, bc_total, cold_time_tile = group_totals(
-        cold_first, ~A, c_base, c_full, arch.cold.count, any_cold
+        "cold", cold_first, ~A, arch.cold.count, any_cold
     )
 
     # Scheduling-granularity floors for the contention-aware scorer;
@@ -547,29 +439,9 @@ def exhaustive_partition(
     assert np.isfinite(flat[k])  # some assignment is always admissible
     assignment = A[k // len(modes)].copy()
     mode = modes[k % len(modes)]
-    # Re-score the winner through the scalar path so the returned time and
-    # totals are exactly what predicted_runtime reports for it.
-    time_s, naive_s, totals = partitioner._predicted(tiled, assignment, mode)
-    return PartitionResult(
-        label="exhaustive",
-        assignment=assignment,
-        mode=mode,
-        predicted_time_s=time_s,
-        totals=totals,
-        naive_time_s=naive_s,
-        scorer=partitioner.scorer,
-    )
-
-
-def _runtime_from_totals(
-    arch: Architecture, totals: PredictedTotals, mode: ExecutionMode
-) -> float:
-    """The naive Fig. 8 final-runtime formulas over readjusted totals.
-
-    Kept as the documented fallback scorer; the contention-aware default
-    lives in :func:`repro.core.contention.contended_runtime`.
-    """
-    return contention.naive_runtime(arch, totals, mode is ExecutionMode.SERIAL)
+    # Re-score the winner through the scalar scorer so the returned time
+    # and totals are exactly what predicted_runtime reports for it.
+    return _score_from_table(partitioner, tiled, table, assignment, mode, "exhaustive")
 
 
 # ----------------------------------------------------------------------
@@ -586,9 +458,9 @@ class PartitionCache:
     binary "first of its type in the panel" flag.  Caching the two variants
     (``base`` = maximum-reuse, ``first`` = first-of-type readjusted) for
     both worker types therefore captures *every* number the partitioner can
-    ever ask about a tile -- the same trick ``exhaustive_partition`` uses,
-    and the dirty-bitmask idiom of ``RateAllocator`` in
-    :mod:`repro.sim.memory`.
+    ever ask about a tile.  Every plan is scored from this table (see
+    :func:`_plan_from_table`); memoizing it across deltas is the
+    dirty-bitmask idiom of ``RateAllocator`` in :mod:`repro.sim.memory`.
 
     ``tile_keys`` (sorted ``tile_row * n_panel_cols + tile_col``) aligns
     the arrays with a tiling; ``assignment`` records the hot/cold split
@@ -661,30 +533,31 @@ class _TileSubset:
 
 
 def _cost_table(
-    partitioner: HotTilesPartitioner,
-    tiled_like,
-    n: int,
-    base: Optional[Tuple[TileCosts, TileCosts]] = None,
-) -> Tuple[np.ndarray, ...]:
+    partitioner: HotTilesPartitioner, tiled_like
+) -> Dict[str, np.ndarray]:
     """The eight per-tile cost arrays (hot/cold x base/first x time/bytes).
 
-    ``base`` passes in already-computed maximum-reuse ``(hot, cold)``
-    costs (the sweep input) so callers that have them pay only the two
-    first-of-type model evaluations.
+    Four model evaluations: each worker type under maximum reuse
+    (``base``) and with every tile charged as first of its type
+    (``first``).  Keyed by :data:`_TABLE_NAMES`.
     """
     model, arch = partitioner.model, partitioner.arch
-    all_first = np.ones(n, dtype=bool)
-    if base is None:
-        hb = model.tile_costs(tiled_like, arch.hot.traits)
-        cb = model.tile_costs(tiled_like, arch.cold.traits)
-    else:
-        hb, cb = base
-    hf = model.tile_costs(tiled_like, arch.hot.traits, first_mask=all_first)
-    cf = model.tile_costs(tiled_like, arch.cold.traits, first_mask=all_first)
-    return (
-        hb.time_s, hf.time_s, hb.bytes, hf.bytes,
-        cb.time_s, cf.time_s, cb.bytes, cf.bytes,
-    )
+    all_first = np.ones(tiled_like.stats.n_tiles, dtype=bool)
+    table: Dict[str, np.ndarray] = {}
+    for side, traits in (("hot", arch.hot.traits), ("cold", arch.cold.traits)):
+        base = model.tile_costs(tiled_like, traits)
+        first = model.tile_costs(tiled_like, traits, first_mask=all_first)
+        table[f"{side}_base_time"] = base.time_s
+        table[f"{side}_first_time"] = first.time_s
+        table[f"{side}_base_bytes"] = base.bytes
+        table[f"{side}_first_bytes"] = first.bytes
+    return table
+
+
+def _tile_keys(tiled: TiledMatrix) -> np.ndarray:
+    """Sorted ``tile_row * n_panel_cols + tile_col`` keys of a tiling."""
+    npc = np.int64(max(tiled.n_panel_cols, 1))
+    return (tiled.stats.tile_row * npc + tiled.stats.tile_col).astype(np.int64)
 
 
 def plan_cache_from(
@@ -694,18 +567,12 @@ def plan_cache_from(
 ) -> PartitionCache:
     """Seed a :class:`PartitionCache` from a full partitioning.
 
-    Runs :meth:`HotTilesPartitioner.partition` when ``result`` is omitted.
+    Runs :meth:`HotTilesPartitioner.partition` when ``result`` is omitted;
+    otherwise returns the cost table ``result`` was scored from.
     """
     if result is None:
         result = partitioner.partition(tiled)
-    npc = np.int64(max(tiled.n_panel_cols, 1))
-    keys = (tiled.stats.tile_row * npc + tiled.stats.tile_col).astype(np.int64)
-    table = _cost_table(partitioner, tiled, tiled.n_tiles)
-    return PartitionCache(
-        keys,
-        *table,
-        assignment=np.asarray(result.chosen.assignment, dtype=bool).copy(),
-    )
+    return result.cache
 
 
 def repair_plan(
@@ -722,17 +589,14 @@ def repair_plan(
     of planning is the per-tile model evaluation, and that is what gets
     memoized: clean tiles are served from the cached base/first cost
     variants, only dirty tiles hit :class:`AnalyticalModel` again.  The
-    cheap ``N log N`` cutoff sweep then runs globally over the composed
-    cost table, and candidates are scored with the exact final-runtime
-    formulas -- so the repaired plan is bit-equal to from-scratch
-    :meth:`HotTilesPartitioner.partition` on the post-delta matrix (cached
+    composed table then goes through the same :func:`_plan_from_table` as
+    :meth:`HotTilesPartitioner.partition` -- so the repaired plan is
+    bit-equal to a from-scratch plan of the post-delta matrix (cached
     per-tile costs are bit-identical to recomputing them), while
     ``RepairStats.tiles_repaired`` counts only the model re-evaluations.
     """
-    arch = partitioner.arch
     n = tiled.n_tiles
-    npc = np.int64(max(tiled.n_panel_cols, 1))
-    keys = (tiled.stats.tile_row * npc + tiled.stats.tile_col).astype(np.int64)
+    keys = _tile_keys(tiled)
     dirty_keys = np.asarray(dirty_keys, dtype=np.int64)
 
     pos = np.searchsorted(cache.tile_keys, keys)
@@ -743,18 +607,16 @@ def repair_plan(
 
     clean_idx = np.flatnonzero(~dirty)
     dirty_idx = np.flatnonzero(dirty)
-    src = pos[clean_idx]
 
     # Compose the full cost table: cached rows for clean tiles, fresh model
     # evaluations for dirty ones only.
-    names = _TABLE_NAMES
-    table = {name: np.empty(n, dtype=np.float64) for name in names}
-    for name in names:
-        table[name][clean_idx] = getattr(cache, name)[src]
+    table = {name: np.empty(n, dtype=np.float64) for name in _TABLE_NAMES}
+    for name, arr in table.items():
+        arr[clean_idx] = getattr(cache, name)[pos[clean_idx]]
     if dirty_idx.size:
-        fresh = _cost_table(partitioner, _TileSubset(tiled, dirty_idx), dirty_idx.size)
-        for name, arr in zip(names, fresh):
-            table[name][dirty_idx] = arr
+        fresh = _cost_table(partitioner, _TileSubset(tiled, dirty_idx))
+        for name, arr in table.items():
+            arr[dirty_idx] = fresh[name]
 
     stats = RepairStats(
         n_tiles=n,
@@ -763,64 +625,76 @@ def repair_plan(
         new_tiles=int((~known).sum()),
         dropped_tiles=int(cache.n_tiles - known.sum()),
     )
+    result = _plan_from_table(partitioner, tiled, table)
+    return RepairOutcome(result=result, stats=stats, cache=result.cache)
 
-    def _finish(result: HotTilesResult) -> RepairOutcome:
-        new_cache = PartitionCache(
-            keys,
-            *(table[name] for name in names),
-            assignment=result.chosen.assignment.copy(),
-        )
-        return RepairOutcome(result=result, stats=stats, cache=new_cache)
 
+def _plan_from_table(
+    partitioner: HotTilesPartitioner,
+    tiled: TiledMatrix,
+    table: Dict[str, np.ndarray],
+) -> HotTilesResult:
+    """Plan from a full cost table: the one sweep/score/refine path.
+
+    Runs the applicable cutoff sweeps, scores each candidate with the
+    final-runtime formulas, refines the best one with a block split, and
+    keeps the winner.  The table is returned as the result's cache.
+    """
+    arch = partitioner.arch
+    candidates: Dict[Heuristic, PartitionResult] = {}
     if arch.hot.count == 0 or arch.cold.count == 0:
-        assignment = np.full(n, arch.cold.count == 0, dtype=bool)
+        assignment = np.full(tiled.n_tiles, arch.cold.count == 0, dtype=bool)
         chosen = _score_from_table(
             partitioner, tiled, table, assignment, ExecutionMode.PARALLEL, "homogeneous"
         )
-        return _finish(HotTilesResult(chosen=chosen, candidates={}))
-
-    n_hw, n_cw = arch.hot.count, arch.cold.count
-    heuristics = _SWEEP_HEURISTICS
-    if arch.atomic_updates:
-        heuristics = [Heuristic.MIN_TIME_PARALLEL, Heuristic.MIN_BYTE_PARALLEL]
-
-    h_time = table["hot_base_time"]
-    c_time = table["cold_base_time"]
-    h_bytes = table["hot_base_bytes"]
-    c_bytes = table["cold_base_bytes"]
-
-    # Mirror _heuristic_assignment over the composed table: the sweep is
-    # O(n log n) in plain numpy and does not touch the model, so running
-    # it globally keeps the repair exact at negligible cost.
-    candidates: Dict[Heuristic, PartitionResult] = {}
-    for heuristic in heuristics:
-        if heuristic in (Heuristic.MIN_TIME_PARALLEL, Heuristic.MIN_TIME_SERIAL):
-            order = np.argsort(h_time - c_time, kind="stable")
-            prefix_hot = _prefix(h_time[order] / n_hw)
-            suffix_cold = _suffix(c_time[order] / n_cw)
-            if heuristic is Heuristic.MIN_TIME_PARALLEL:
-                objective = np.maximum(prefix_hot, suffix_cold)
-            else:
-                objective = prefix_hot + suffix_cold
-        else:
-            order = np.argsort(h_bytes - c_bytes, kind="stable")
-            objective = _prefix(h_bytes[order]) + _suffix(c_bytes[order])
-        cutoff = _cutoff_sweep(objective)
-        assignment = np.zeros(n, dtype=bool)
-        assignment[order[:cutoff]] = True
-        candidates[heuristic] = _score_from_table(
-            partitioner, tiled, table, assignment,
-            _HEURISTIC_MODE[heuristic], heuristic.value,
+    else:
+        heuristics = _SWEEP_HEURISTICS
+        if arch.atomic_updates:
+            # No output buffers to merge: serial operation can never win
+            # under the model (Sec. V-B), so only Parallel heuristics run.
+            heuristics = [Heuristic.MIN_TIME_PARALLEL, Heuristic.MIN_BYTE_PARALLEL]
+        for heuristic in heuristics:
+            candidates[heuristic] = _score_from_table(
+                partitioner, tiled, table, _sweep(arch, table, heuristic),
+                _HEURISTIC_MODE[heuristic], heuristic.value,
+            )
+        base = min(candidates.values(), key=lambda r: r.predicted_time_s)
+        candidates[Heuristic.BLOCK_SPLIT] = _block_split_candidate(
+            partitioner, tiled, table, base
         )
-    base = min(candidates.values(), key=lambda r: r.predicted_time_s)
-    # Same split refinement as partition(), over the same table values
-    # (cached rows are bit-identical to fresh ones), so the repaired
-    # result stays bit-equal to a from-scratch partition.
-    candidates[Heuristic.BLOCK_SPLIT] = _block_split_candidate(
-        partitioner, tiled, table, base
+        # min keeps the first of tied values, and the whole-tile heuristics
+        # precede BLOCK_SPLIT: the split is chosen only when strictly better.
+        chosen = min(candidates.values(), key=lambda r: r.predicted_time_s)
+    cache = PartitionCache(
+        _tile_keys(tiled), **table, assignment=chosen.assignment.copy()
     )
-    chosen = min(candidates.values(), key=lambda r: r.predicted_time_s)
-    return _finish(HotTilesResult(chosen=chosen, candidates=candidates))
+    return HotTilesResult(chosen=chosen, candidates=candidates, cache=cache)
+
+
+def _sweep(
+    arch: Architecture, table: Dict[str, np.ndarray], heuristic: Heuristic
+) -> np.ndarray:
+    """One heuristic's hot/cold assignment from its cutoff sweep.
+
+    The tiles are sorted by their maximum-reuse (``base``) hot - cold
+    difference in time or bytes; the first ``cutoff`` sorted tiles go hot.
+    """
+    h_time, c_time = table["hot_base_time"], table["cold_base_time"]
+    if heuristic in (Heuristic.MIN_TIME_PARALLEL, Heuristic.MIN_TIME_SERIAL):
+        order = np.argsort(h_time - c_time, kind="stable")
+        prefix_hot = _prefix(h_time[order] / arch.hot.count)
+        suffix_cold = _suffix(c_time[order] / arch.cold.count)
+        if heuristic is Heuristic.MIN_TIME_PARALLEL:
+            objective = np.maximum(prefix_hot, suffix_cold)
+        else:
+            objective = prefix_hot + suffix_cold
+    else:
+        h_bytes, c_bytes = table["hot_base_bytes"], table["cold_base_bytes"]
+        order = np.argsort(h_bytes - c_bytes, kind="stable")
+        objective = _prefix(h_bytes[order]) + _suffix(c_bytes[order])
+    assignment = np.zeros(order.shape[0], dtype=bool)
+    assignment[order[: _cutoff_sweep(objective)]] = True
+    return assignment
 
 
 def _score_from_table(
@@ -831,19 +705,16 @@ def _score_from_table(
     mode: ExecutionMode,
     label: str,
 ) -> PartitionResult:
-    """Score an assignment from the cached cost table.
+    """Score a whole-tile assignment from the cost table.
 
-    Bit-equal to :meth:`HotTilesPartitioner._score`: composing the cached
-    ``base``/``first`` variants per tile reproduces exactly what the model
-    returns for the assignment-derived first-of-type mask.
+    Composing the ``base``/``first`` variants per tile reproduces exactly
+    what the model returns for the assignment-derived first-of-type mask,
+    so this equals :meth:`HotTilesPartitioner.predicted_runtime`.
     """
-    arch = partitioner.arch
-    totals, hot_times, cold_times = _table_totals_with_times(
-        arch, table, tiled.stats.tile_row, assignment, mode, tiled.matrix.n_rows
-    )
-    time_s, naive_s = _evaluate_totals(
-        partitioner, totals, mode, hot_times, cold_times,
-        tiled.stats.uniq_rids, tiled.stats.tile_row, assignment,
+    s = tiled.stats
+    time_s, naive_s, totals = _evaluate(
+        partitioner, _compose(table, s.tile_row, assignment), assignment, mode,
+        s.tile_row, s.uniq_rids, tiled.matrix.n_rows,
     )
     return PartitionResult(
         label=label,
@@ -856,83 +727,66 @@ def _score_from_table(
     )
 
 
-def _evaluate_totals(
-    partitioner: HotTilesPartitioner,
-    totals: PredictedTotals,
-    mode: ExecutionMode,
-    hot_times: np.ndarray,
-    cold_times: np.ndarray,
-    uniq_rids: np.ndarray,
-    panels: np.ndarray,
-    assignment: np.ndarray,
-) -> Tuple[float, float]:
-    """``(scorer time, naive time)`` for totals backed by per-tile arrays."""
-    arch = partitioner.arch
-    serial = mode is ExecutionMode.SERIAL
-    naive_s = contention.naive_runtime(arch, totals, serial)
-    if not partitioner._contended():
-        return naive_s, naive_s
-    hot_floor, cold_floor = contention.group_floors(
-        arch, hot_times, cold_times, uniq_rids, panels, assignment
-    )
-    time_s = contention.contended_runtime(
-        arch, totals, serial, hot_floor=hot_floor, cold_floor=cold_floor
-    )
-    return time_s, naive_s
+def _compose(
+    table: Dict[str, np.ndarray], panels: np.ndarray, assignment: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Readjusted per-tile ``(hot time, hot bytes, cold time, cold bytes)``.
 
-
-def _table_totals(
-    arch: Architecture,
-    table: Dict[str, np.ndarray],
-    panels: np.ndarray,
-    assignment: np.ndarray,
-    mode: ExecutionMode,
-    n_rows: int,
-) -> PredictedTotals:
-    totals, _, _ = _table_totals_with_times(
-        arch, table, panels, assignment, mode, n_rows
-    )
-    return totals
-
-
-def _table_totals_with_times(
-    arch: Architecture,
-    table: Dict[str, np.ndarray],
-    panels: np.ndarray,
-    assignment: np.ndarray,
-    mode: ExecutionMode,
-    n_rows: int,
-) -> Tuple[PredictedTotals, np.ndarray, np.ndarray]:
-    """Readjusted totals for an assignment over an explicit cost table.
-
-    Works on arrays alone (no tiling object) so split candidates -- whose
-    expanded tilings exist only as arrays -- score through the exact same
-    arithmetic as whole-tile candidates.  Also returns the composed
-    per-tile hot/cold time arrays, which the contention scorer's
-    granularity floors consume.
+    Each tile takes its ``first`` cost where it is the first of its type
+    in its panel under ``assignment``, its ``base`` cost otherwise.
     """
     hot_first, cold_first = _first_masks(panels, assignment)
-    ht = np.where(hot_first, table["hot_first_time"], table["hot_base_time"])
-    hb = np.where(hot_first, table["hot_first_bytes"], table["hot_base_bytes"])
-    ct = np.where(cold_first, table["cold_first_time"], table["cold_base_time"])
-    cb = np.where(cold_first, table["cold_first_bytes"], table["cold_base_bytes"])
+    return (
+        np.where(hot_first, table["hot_first_time"], table["hot_base_time"]),
+        np.where(hot_first, table["hot_first_bytes"], table["hot_base_bytes"]),
+        np.where(cold_first, table["cold_first_time"], table["cold_base_time"]),
+        np.where(cold_first, table["cold_first_bytes"], table["cold_base_bytes"]),
+    )
+
+
+def _evaluate(
+    partitioner: HotTilesPartitioner,
+    costs: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    assignment: np.ndarray,
+    mode: ExecutionMode,
+    panels: np.ndarray,
+    uniq_rids: np.ndarray,
+    n_rows: int,
+) -> Tuple[float, float, PredictedTotals]:
+    """``(scorer time, naive time, totals)`` of readjusted per-tile costs.
+
+    ``costs`` is ``(hot time, hot bytes, cold time, cold bytes)`` per tile,
+    already readjusted for ``assignment``'s first-of-type tiles.  Works on
+    arrays alone (no tiling object) so split candidates, whose expanded
+    tilings exist only as arrays, score through the same arithmetic;
+    ``panels`` and ``uniq_rids`` feed the contention scorer's granularity
+    floors.
+    """
+    arch = partitioner.arch
+    ht, hb, ct, cb = costs
     any_hot = bool(assignment.any())
     any_cold = bool((~assignment).any())
-    th_total = float(ht[assignment].sum()) / arch.hot.count if any_hot else 0.0
-    tc_total = float(ct[~assignment].sum()) / arch.cold.count if any_cold else 0.0
-    bh_total = float(hb[assignment].sum()) if any_hot else 0.0
-    bc_total = float(cb[~assignment].sum()) if any_cold else 0.0
     t_merge = 0.0
     if mode is ExecutionMode.PARALLEL and any_hot and any_cold:
         t_merge = arch.merge_time_s(n_rows)
     totals = PredictedTotals(
-        th_total=th_total,
-        tc_total=tc_total,
-        bh_total=bh_total,
-        bc_total=bc_total,
+        th_total=float(ht[assignment].sum()) / arch.hot.count if any_hot else 0.0,
+        tc_total=float(ct[~assignment].sum()) / arch.cold.count if any_cold else 0.0,
+        bh_total=float(hb[assignment].sum()) if any_hot else 0.0,
+        bc_total=float(cb[~assignment].sum()) if any_cold else 0.0,
         t_merge=t_merge,
     )
-    return totals, ht, ct
+    serial = mode is ExecutionMode.SERIAL
+    naive_s = contention.naive_runtime(arch, totals, serial)
+    if not partitioner._contended():
+        return naive_s, naive_s, totals
+    hot_floor, cold_floor = contention.group_floors(
+        arch, ht, ct, uniq_rids, panels, assignment
+    )
+    time_s = contention.contended_runtime(
+        arch, totals, serial, hot_floor=hot_floor, cold_floor=cold_floor
+    )
+    return time_s, naive_s, totals
 
 
 class _SplitPartsView:
@@ -1007,10 +861,10 @@ def _score_split(
     lo = int(tiled.tile_offsets[tile])
     hi = int(tiled.tile_offsets[tile + 1])
     view = _SplitPartsView(tiled, tile, hot_nnz)  # rejects degenerate cuts
-    fresh = _cost_table(partitioner, view, 2)
+    fresh = _cost_table(partitioner, view)
     ext = {
-        name: np.concatenate([table[name][:tile], pair, table[name][tile + 1 :]])
-        for name, pair in zip(_TABLE_NAMES, fresh)
+        name: np.concatenate([table[name][:tile], fresh[name], table[name][tile + 1 :]])
+        for name in _TABLE_NAMES
     }
     s = tiled.stats
     panels = s.tile_row
@@ -1026,17 +880,15 @@ def _score_split(
     modes = [ExecutionMode.PARALLEL]
     if not arch.atomic_updates:
         modes.append(ExecutionMode.SERIAL)
+    costs = _compose(ext, ext_panels, ext_assignment)
     best: Optional[Tuple[float, float, PredictedTotals, ExecutionMode]] = None
     for mode in modes:
-        totals, hot_times, cold_times = _table_totals_with_times(
-            arch, ext, ext_panels, ext_assignment, mode, tiled.matrix.n_rows
+        scored = _evaluate(
+            partitioner, costs, ext_assignment, mode,
+            ext_panels, ext_uniq, tiled.matrix.n_rows,
         )
-        time_s, naive_s = _evaluate_totals(
-            partitioner, totals, mode, hot_times, cold_times,
-            ext_uniq, ext_panels, ext_assignment,
-        )
-        if best is None or time_s < best[0]:
-            best = (time_s, naive_s, totals, mode)
+        if best is None or scored[0] < best[0]:
+            best = scored + (mode,)
     final_assignment = assignment.copy()
     final_assignment[tile] = True
     return PartitionResult(

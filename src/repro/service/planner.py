@@ -218,10 +218,6 @@ class PlanService:
         self._timeout = m.counter("requests_timeout")
         self._degraded = m.counter("requests_degraded")
         self._computed = m.counter("plans_computed")
-        # Which runtime model selected each computed plan (audit trail;
-        # 'contention' only appears for PCIe-attached architectures).
-        self._scored_contention = m.counter("plans_scored_contention")
-        self._scored_naive = m.counter("plans_scored_naive")
         self._cancelled = m.counter("plans_cancelled")
         self._retried = m.counter("plans_retried")
         self._deltas_applied = m.counter("deltas_applied")
@@ -441,11 +437,6 @@ class PlanService:
                 hot_tiles=chosen.hot_tile_count,
                 hot_nnz_fraction=update.hot_nnz_fraction,
                 predicted_time_s=chosen.predicted_time_s,
-                naive_time_s=(
-                    chosen.naive_time_s
-                    if chosen.naive_time_s is not None
-                    else chosen.predicted_time_s
-                ),
                 scorer=chosen.scorer,
                 scan_s=0.0,
                 partition_s=wall,
@@ -628,7 +619,6 @@ class PlanService:
                     plan_wall_s=time.monotonic() - start,
                     artifacts=(),
                     created_unix=time.time(),
-                    naive_time_s=predicted_s,
                     scorer="roofline",
                 )
         except Exception as exc:  # noqa: BLE001 -- fallback is best-effort
@@ -772,10 +762,6 @@ class PlanService:
             plan_wall_s=time.monotonic() - start,
             artifacts=artifacts,
         )
-        if result.scorer == "contention":
-            self._scored_contention.inc()
-        else:
-            self._scored_naive.inc()
         # Publish to the store *before* waking waiters/deregistering so a
         # request that misses the in-flight map can only do so after the
         # store already holds the result.

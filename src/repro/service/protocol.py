@@ -283,7 +283,6 @@ class PlanResult:
     plan_wall_s: float  #: end-to-end planning wall-clock (resolve + pipeline + persist)
     artifacts: Tuple[str, ...] = field(default_factory=tuple)
     created_unix: float = 0.0
-    naive_time_s: float = 0.0  #: Fig. 8 closed-form prediction (audit trail)
     scorer: str = "naive"  #: which model selected the plan: 'contention' | 'naive' | 'roofline'
 
     def to_dict(self) -> Dict[str, Any]:
@@ -335,11 +334,6 @@ class PlanResult:
             hot_tiles=chosen.hot_tile_count,
             hot_nnz_fraction=chosen.hot_nnz_fraction(preprocess.tiled),
             predicted_time_s=chosen.predicted_time_s,
-            naive_time_s=(
-                chosen.naive_time_s
-                if chosen.naive_time_s is not None
-                else chosen.predicted_time_s
-            ),
             scorer=chosen.scorer,
             scan_s=cost.scan_s,
             partition_s=cost.partition_s,

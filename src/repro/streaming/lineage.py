@@ -34,7 +34,6 @@ from repro.core.partition import (
     HotTilesResult,
     PartitionCache,
     RepairStats,
-    plan_cache_from,
     repair_plan,
 )
 from repro.sparse.tiling import TiledMatrix
@@ -108,7 +107,7 @@ class MatrixLineage:
         if result is None:
             result = partitioner.partition(tiled)
         self.result = result
-        self.cache: PartitionCache = plan_cache_from(partitioner, tiled, result)
+        self.cache: PartitionCache = result.cache
         self.meta = meta
         self.deltas_applied = 0
         self.tiles_repaired_total = 0

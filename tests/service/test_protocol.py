@@ -133,3 +133,15 @@ class TestPlanResult:
     def test_from_dict_missing_field(self):
         with pytest.raises(ProtocolError, match="missing field"):
             PlanResult.from_dict({"digest": "ab"})
+
+    def test_from_dict_ignores_legacy_keys(self):
+        # Payloads stored by older versions carry fields this one dropped
+        # (``naive_time_s``); they must still load.
+        from repro.pipeline.preprocess import HotTilesPreprocessor
+
+        req = rmat_request()
+        matrix = req.resolve_matrix()
+        pre = HotTilesPreprocessor(req.build_architecture()).run(matrix)
+        result = PlanResult.from_preprocess(req, "ab12", matrix, pre, plan_wall_s=0.1)
+        legacy = dict(result.to_dict(), naive_time_s=result.predicted_time_s)
+        assert PlanResult.from_dict(legacy) == result
