@@ -1,8 +1,9 @@
 """Compiled backend for the simulator's two hottest loops.
 
-This package hosts the native twins of ``engine._run_fluid`` (the fluid
-event core) and ``cache.windowed_lru_misses`` (the windowed-LRU miss
-kernel).  The kernel *sources* live in :mod:`repro.sim._native.kernels`
+This package hosts the native twins of the fault-free, untraced
+``engine._run_fluid`` (the fluid event core) and
+``cache.windowed_lru_misses`` (the windowed-LRU miss kernel).  Faulted
+and traced runs always take the Python loop.  The kernel *sources* live in :mod:`repro.sim._native.kernels`
 as plain njit-compatible Python; :mod:`repro.sim._native.compiled` JIT
 compiles those same function objects when numba is present.  Selection
 between the compiled and pure-Python engines is the job of
@@ -66,7 +67,7 @@ def _select(name: str, jit: bool):
 def run_fluid(
     arch, plans, *, jit: bool = True
 ) -> Tuple[float, np.ndarray, Tuple[Tuple[float, float], ...]]:
-    """Native twin of ``engine._run_fluid`` (untraced path only).
+    """Native twin of the fault-free, untraced ``engine._run_fluid``.
 
     Marshals the instance plans into flat arrays, drives the
     :func:`repro.sim._native.kernels.fluid_steps` step machine, and

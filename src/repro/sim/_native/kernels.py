@@ -90,9 +90,9 @@ def fluid_steps(
 ):
     """Run the incremental fluid event loop until done or a cache miss.
 
-    Arithmetic is performed scalar-by-scalar in the exact order of
-    ``repro.sim.engine._run_fluid`` (itself pinned against the frozen
-    reference), so the produced makespan, completions, and bandwidth
+    Arithmetic is performed scalar-by-scalar in the exact order of the
+    fault-free, untraced ``repro.sim.engine._run_fluid`` (itself pinned
+    against the frozen reference), so the produced makespan, completions, and bandwidth
     profile are bit-identical to the Python engine.
 
     State contract (all caller-owned, mutated in place):

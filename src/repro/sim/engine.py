@@ -27,6 +27,7 @@ from repro.core.partition import ExecutionMode, TileSplit
 from repro.core.traits import WorkerKind
 from repro.obs.tracer import SIM, Tracer, get_tracer
 from repro.sim import backend as _backend
+from repro.sim.faulted import FaultInjector, Timeline, heir_of
 from repro.sim.memory import RateAllocator
 from repro.sim.worker_sim import InstancePlan, build_plans
 from repro.sparse.tiling import TiledMatrix
@@ -121,37 +122,36 @@ def simulate(
     ``block-split`` candidate): the split tile's leading nonzeros run hot,
     the rest cold -- see :func:`repro.sim.worker_sim.build_plans`.
 
-    A non-empty ``faults`` schedule switches to the degraded-mode engine
-    (:mod:`repro.sim.faulted`): slowdowns, failures with work
-    reassignment, and bandwidth-degradation windows, summarized on
-    ``SimResult.faults``.  An empty or ``None`` schedule takes this
-    unmodified path, whose results stay bit-identical to
+    A non-empty ``faults`` schedule injects slowdowns, failures with work
+    reassignment, and bandwidth-degradation windows into the same event
+    loop (policy in :mod:`repro.sim.faulted`), summarized on
+    ``SimResult.faults``.  An empty or ``None`` schedule leaves
+    ``SimResult.faults`` ``None`` and the results bit-identical to
     :mod:`repro.sim._reference`.
     """
-    if faults is not None and not faults.empty:
-        from repro.sim.faulted import simulate_faulted
-
-        return simulate_faulted(
-            arch, tiled, assignment, mode, untiled_block_rows, faults, split
-        )
     tracer = get_tracer()
     tracer = tracer if tracer.enabled else None
+    injector = None
+    span_args = {}
+    if faults is not None and not faults.empty:
+        faults.validate_against(arch.hot.count, arch.cold.count)
+        injector = FaultInjector(faults, tracer)
+        span_args["faults"] = len(faults)
     with (tracer if tracer is not None else _DISABLED).span(
-        "sim.simulate", cat="sim", mode=mode.value, tiles=int(tiled.n_tiles)
+        "sim.simulate", cat="sim", mode=mode.value, tiles=int(tiled.n_tiles),
+        **span_args,
     ):
         hot_plans, cold_plans = build_plans(
             arch, tiled, assignment, untiled_block_rows, split=split
         )
+        merge = 0.0
         if mode is ExecutionMode.PARALLEL:
             makespan, completions, profile = _run_fluid(
-                arch,
-                hot_plans + cold_plans,
-                tracer=tracer,
-                labels=_instance_labels(hot_plans, cold_plans),
+                arch, hot_plans + cold_plans, tracer=tracer,
+                labels=_instance_labels(hot_plans, cold_plans), faults=injector,
             )
-            hot_stats = _group_stats(hot_plans, completions[: len(hot_plans)])
-            cold_stats = _group_stats(cold_plans, completions[len(hot_plans) :])
-            merge = 0.0
+            hot_done = completions[: len(hot_plans)]
+            cold_done = completions[len(hot_plans) :]
             if hot_plans and cold_plans and not arch.atomic_updates:
                 merge = arch.merge_time_s(tiled.matrix.n_rows)
                 profile = profile + ((makespan + merge, arch.mem_bw_bytes_per_sec),)
@@ -160,32 +160,26 @@ def simulate(
                         "merge", ts=makespan, dur=merge, process=SIM,
                         track="merger", cat="sim", rows=int(tiled.matrix.n_rows),
                     )
-            return SimResult(
-                time_s=makespan + merge,
-                merge_time_s=merge,
-                mode=mode,
-                hot=hot_stats,
-                cold=cold_stats,
-                bandwidth_profile=profile,
+            time_s = makespan + merge
+        else:
+            hot_span, hot_done, hot_profile = _run_fluid(
+                arch, hot_plans, tracer=tracer,
+                labels=_instance_labels(hot_plans, []), faults=injector,
             )
-        hot_span, hot_completions, hot_profile = _run_fluid(
-            arch, hot_plans, tracer=tracer, labels=_instance_labels(hot_plans, [])
-        )
-        cold_span, cold_completions, cold_profile = _run_fluid(
-            arch,
-            cold_plans,
-            tracer=tracer,
-            labels=_instance_labels([], cold_plans),
-            t_offset=hot_span,
-        )
-        shifted = tuple((t + hot_span, bw) for t, bw in cold_profile)
+            cold_span, cold_done, cold_profile = _run_fluid(
+                arch, cold_plans, tracer=tracer, labels=_instance_labels([], cold_plans),
+                t_offset=hot_span, faults=injector,
+            )
+            time_s = hot_span + cold_span
+            profile = hot_profile + tuple((t + hot_span, bw) for t, bw in cold_profile)
         return SimResult(
-            time_s=hot_span + cold_span,
-            merge_time_s=0.0,
+            time_s=time_s,
+            merge_time_s=merge,
             mode=mode,
-            hot=_group_stats(hot_plans, hot_completions),
-            cold=_group_stats(cold_plans, cold_completions),
-            bandwidth_profile=hot_profile + shifted,
+            hot=_group_stats(hot_plans, hot_done),
+            cold=_group_stats(cold_plans, cold_done),
+            bandwidth_profile=profile,
+            faults=injector.summary() if injector is not None else None,
         )
 
 
@@ -214,6 +208,7 @@ def _run_fluid(
     tracer: Optional[Tracer] = None,
     labels: Optional[List[str]] = None,
     t_offset: float = 0.0,
+    faults: Optional[FaultInjector] = None,
 ) -> Tuple[float, np.ndarray, Tuple[Tuple[float, float], ...]]:
     """Advance all instances to completion (the incremental event core).
 
@@ -234,21 +229,29 @@ def _run_fluid(
     :mod:`repro.sim._reference`, so results are bit-identical -- pinned by
     ``tests/sim/test_perf_differential.py``.
 
+    ``faults`` injects a schedule (policy in :mod:`repro.sim.faulted`).
+    Event times are global seconds and this run covers ``[t_offset,
+    t_offset + makespan)``, so events before ``t_offset`` apply at the
+    first iteration.  Slowdowns divide compute progress by their factor,
+    each window edge ends an interval and the window factor selects the
+    allocator, and a failure moves the victim's unfinished phases onto
+    its heir's phase list.  Returned times stay run-local.
+
     When ``tracer`` is an enabled :class:`~repro.obs.tracer.Tracer`, the
     run is narrated onto virtual-time tracks (one per instance, named by
     ``labels``, timestamps shifted by ``t_offset``): one span per chunk a
-    worker executes, one ``rebalance`` event per fluid interval, and a
+    worker executes (``inherited`` for phases taken over from a failed
+    instance), one ``rebalance`` event per fluid interval, and a
     ``bandwidth`` counter track sampling the aggregate grant.  Tracing
     observes the existing state only -- it never feeds back into the
     arithmetic, which the differential tests pin down bit for bit.
 
     When the native backend is active (:mod:`repro.sim.backend`,
-    ``HOTTILES_BACKEND``) and the run is untraced, the whole event core
-    is delegated to the compiled step machine in
+    ``HOTTILES_BACKEND``) and the run is untraced and fault-free, the
+    whole event core is delegated to the compiled step machine in
     :mod:`repro.sim._native`, which produces bit-identical results;
-    traced runs always take the Python loop below so span emission stays
-    in one place."""
-    if tracer is None:
+    traced and faulted runs always take the Python loop below."""
+    if tracer is None and faults is None:
         native = _backend.native_fluid()
         if native is not None:
             return native(arch, plans)
@@ -256,6 +259,8 @@ def _run_fluid(
     completions = np.zeros(n, dtype=np.float64)
     if n == 0:
         return 0.0, completions, ()
+    if labels is None:
+        labels = [f"instance-{i}" for i in range(n)]
 
     phase_lists = [[p for c in plan.chunks for p in c.phases] for plan in plans]
     phase_idx = [0] * n
@@ -276,28 +281,36 @@ def _run_fluid(
             pos_rate_mask |= 1 << i
 
     if tracer is not None:
-        if labels is None:
-            labels = [f"instance-{i}" for i in range(n)]
-        # phase -> owning chunk index, per instance, for chunk-level spans.
+        # phase -> owning chunk index, per instance, for chunk-level spans;
+        # phases inherited from a failed instance get -1 - k, where k
+        # indexes ``inherited_from``.
         chunk_of_phase = [
             [ci for ci, c in enumerate(plan.chunks) for _ in c.phases]
             for plan in plans
         ]
         chunk_start = [t_offset] * n
+        inherited_from: List[str] = []
 
     def _emit_chunk(i: int, ci: int, end: float) -> None:
-        chunk = plans[i].chunks[ci]
-        tracer.complete(
-            f"chunk{ci}",
-            ts=chunk_start[i],
-            dur=end - chunk_start[i],
-            process=SIM,
-            track=labels[i],
-            cat="sim",
-            panel=int(chunk.panel),
-            nnz=int(chunk.nnz),
-            bytes=float(chunk.bytes_total),
-        )
+        if ci < 0:
+            tracer.complete(
+                "inherited", ts=chunk_start[i], dur=end - chunk_start[i],
+                process=SIM, track=labels[i], cat="sim",
+                dead=inherited_from[-1 - ci],
+            )
+        else:
+            chunk = plans[i].chunks[ci]
+            tracer.complete(
+                f"chunk{ci}",
+                ts=chunk_start[i],
+                dur=end - chunk_start[i],
+                process=SIM,
+                track=labels[i],
+                cat="sim",
+                panel=int(chunk.panel),
+                nnz=int(chunk.nnz),
+                bytes=float(chunk.bytes_total),
+            )
         chunk_start[i] = end
 
     def _load_next_phase(i: int) -> bool:
@@ -334,9 +347,84 @@ def _run_fluid(
     # Each iteration retires at least one sub-completion; bounded by the
     # total number of phases times two.
     max_iters = 4 * sum(len(pl) for pl in phase_lists) + 4 * n + 16
+    # Slowdown factors only enter the arithmetic once one has landed.
+    slowed = False
+    if faults is not None:
+        timeline = Timeline(faults.schedule, labels)
+        points = timeline.points
+        next_point = 0
+        slow = [1.0] * n
+        alive = [True] * n
+        allocators = {1.0: allocator}
+        factor = None  # bandwidth factor of the standing allocator
+        # Each fault edge can end one more interval without a retirement.
+        max_iters += 4 * n + 8 * len(timeline.edges) + 24
     for _ in range(max_iters):
+        if faults is not None:
+            t_global = t + t_offset
+            while next_point < len(points) and points[next_point][0] <= t_global:
+                _, i, slow_factor = points[next_point]
+                next_point += 1
+                if not alive[i]:
+                    continue  # a dead instance neither slows nor dies again
+                if slow_factor is not None:
+                    slow[i] = slow_factor
+                    slowed = True
+                    faults.slowdown(labels[i], slow_factor, t_global)
+                    continue
+                alive[i] = False
+                faults.failure(labels[i], t_global)
+                leftovers = []
+                if not done[i] and (c_rem[i] > _EPS or b_rem[i] > _EPS):
+                    leftovers.append((c_rem[i], b_rem[i]))
+                queued = phase_lists[i]
+                leftovers.extend(
+                    (c, b) for c, b in queued[phase_idx[i] :] if c > _EPS or b > _EPS
+                )
+                del queued[phase_idx[i] :]
+                c_rem[i] = 0.0
+                b_rem[i] = 0.0
+                if not done[i]:
+                    if tracer is not None:
+                        _emit_chunk(i, chunk_of_phase[i][phase_idx[i] - 1], t_global)
+                    done[i] = True
+                    n_active -= 1
+                    demand_key &= ~(1 << i)
+                    completions[i] = t_global - t_offset
+                if not leftovers:
+                    continue
+                heir = heir_of(
+                    i, plans, alive,
+                    lambda j: b_rem[j] + sum(b for _, b in phase_lists[j][phase_idx[j] :]),
+                    labels, t_global,
+                )
+                phase_lists[heir].extend(leftovers)
+                faults.recovery(labels[i], labels[heir], len(leftovers), t_global)
+                if tracer is not None:
+                    inherited_from.append(labels[i])
+                    chunk_of_phase[heir].extend([-len(inherited_from)] * len(leftovers))
+                if done[heir]:
+                    done[heir] = False
+                    n_active += 1
+                    _load_next_phase(heir)  # leftovers are non-empty phases
+                    if b_rem[heir] > _EPS:
+                        demand_key |= 1 << heir
+                    if tracer is not None:
+                        chunk_start[heir] = t_global
         if n_active == 0:
             break
+        if faults is not None:
+            f = timeline.factor_at(t_global)
+            if f != factor:
+                factor = f
+                allocator = allocators.get(f)
+                if allocator is None:
+                    allocator = allocators[f] = RateAllocator(
+                        max_rates, arch.mem_bw_bytes_per_sec * f, pcie_mask,
+                        arch.pcie_bw_bytes_per_sec,
+                    )
+                alloc_key = -1
+                faults.emit("fault.bandwidth", t_global, factor=f)
         if demand_key != alloc_key:
             rates_arr, rates_sum = allocator.rates_for_key(demand_key)
             rates = rates_arr.tolist()
@@ -371,8 +459,16 @@ def _run_fluid(
                     if t_mem < dt:
                         dt = t_mem
             c = c_rem[i]
-            if c > _EPS and c < dt:
-                dt = c
+            if c > _EPS:
+                if slowed:
+                    c = c * slow[i]
+                if c < dt:
+                    dt = c
+        if faults is not None:
+            # A fault edge can pre-empt the next sub-completion.
+            edge = timeline.next_edge(t_global + _EPS)
+            if edge - t_global < dt:
+                dt = edge - t_global
         if dt == _INF:
             raise RuntimeError("fluid engine stalled: active work but no progress")
         t += dt
@@ -388,7 +484,7 @@ def _run_fluid(
                 # residual in (0, eps] but the demand set drops the user.
                 b_rem[i] = b if b > 0.0 else 0.0
                 demand_key &= ~(1 << i)
-            c = c_rem[i] - dt
+            c = c_rem[i] - (dt / slow[i] if slowed else dt)
             c_rem[i] = c if c > 0.0 else 0.0
 
         for i in range(n):

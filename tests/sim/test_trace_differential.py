@@ -86,3 +86,48 @@ def test_traced_run_narrates_chunks_and_bandwidth(small_rmat, spade_sextans_arch
     assert len(rebalances) == len(result.bandwidth_profile) - (
         1 if result.merge_time_s > 0 else 0
     )
+
+
+def test_traced_faulted_run_matches_and_narrates_recovery(spade_sextans_arch):
+    """A failure that reassigns phases: tracing still changes nothing, the
+    faults track narrates the failure and the recovery, and the phases
+    the heir inherited (no chunk of its own plan) get their own span."""
+    from repro.faults.schedule import FaultSchedule, WorkerFailure
+    from repro.sparse import generators
+
+    arch = spade_sextans_arch
+    tiled = TiledMatrix(
+        generators.rmat(scale=9, nnz=4_000, seed=0), arch.tile_height, arch.tile_width
+    )
+    assignment = np.zeros(tiled.n_tiles, dtype=bool)  # all on the cold group
+    base = simulate(arch, tiled, assignment, ExecutionMode.PARALLEL)
+    t_fail = base.time_s * 0.3
+    schedule = FaultSchedule([WorkerFailure(t_s=t_fail, kind="cold", index=0)])
+
+    plain = simulate(arch, tiled, assignment, ExecutionMode.PARALLEL, faults=schedule)
+    with use_tracer(Tracer(enabled=True)) as tracer:
+        traced = simulate(
+            arch, tiled, assignment, ExecutionMode.PARALLEL, faults=schedule
+        )
+    _assert_bit_identical(traced, plain)
+    assert traced.faults == plain.faults
+    assert plain.faults.reassigned_phases > 0
+
+    faults = [e for e in tracer.events() if e.track == "faults"]
+    assert [e.name for e in faults if e.name != "fault.bandwidth"] == [
+        "fault.failure", "fault.recovery",
+    ]
+    recovery = faults[-1]
+    assert recovery.args["dead"] == "cold-0"
+    assert recovery.args["phases"] == plain.faults.reassigned_phases
+
+    sim_spans = [s for s in tracer.spans() if s.process == "sim"]
+    for span in sim_spans:
+        assert 0.0 <= span.ts and span.end <= traced.time_s + 1e-12
+    # The victim's last chunk span ends at the failure.
+    victim = [s for s in sim_spans if s.track == "cold-0"]
+    assert victim and max(s.end for s in victim) == pytest.approx(t_fail)
+    inherited = [s for s in sim_spans if s.name == "inherited"]
+    assert [s.track for s in inherited] == [recovery.args["heir"]]
+    assert inherited[0].args["dead"] == "cold-0"
+    assert inherited[0].ts >= t_fail
