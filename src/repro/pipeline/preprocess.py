@@ -59,14 +59,27 @@ class HotTilesPreprocessor:
         self.arch = arch
         self.partitioner = HotTilesPartitioner(arch, cache_aware=cache_aware)
 
-    def run(self, matrix: SparseMatrix) -> PreprocessResult:
+    def run(
+        self, matrix: SparseMatrix, tiled: Optional[TiledMatrix] = None
+    ) -> PreprocessResult:
         """Full pipeline over one sparse matrix.
 
+        ``tiled`` is an existing scan of ``matrix`` with this
+        architecture's tile shape; the scan stage then only checks it.
         The returned cost leaves the homogeneous baseline untimed; only
         the Fig. 18 accounting needs it (see :meth:`baseline_cost`).
         """
+        shape = (self.arch.tile_height, self.arch.tile_width)
         t0 = time.perf_counter()
-        tiled = TiledMatrix(matrix, self.arch.tile_height, self.arch.tile_width)
+        if tiled is None:
+            tiled = TiledMatrix(matrix, *shape)
+        elif (tiled.tile_height, tiled.tile_width) != shape:
+            raise ValueError(
+                f"tiled has {tiled.tile_height}x{tiled.tile_width} tiles; "
+                f"{self.arch.name} uses {shape[0]}x{shape[1]}"
+            )
+        elif tiled.matrix is not matrix:
+            raise ValueError("tiled is a scan of another matrix")
         t_scan = time.perf_counter() - t0
 
         t0 = time.perf_counter()

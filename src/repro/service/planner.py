@@ -45,7 +45,10 @@ Counter semantics (the reconciliation the load generator checks):
 - ``requests_coalesced`` is informational (a subset of ``accepted``);
 - ``plans_computed`` / ``plans_cancelled`` count unique computations,
   not requests; ``plans_retried`` counts retry attempts after
-  retryable failures (also not requests).
+  retryable failures (also not requests);
+- ``tilings_reused`` counts computations (and degraded fallbacks) that
+  took their scan from another plan of the same matrix and tile shape
+  instead of generating and tiling it (docs/service.md, "Scan reuse").
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import collections
 import dataclasses
 import threading
 import time
+import weakref
 from typing import Any, Deque, Dict, Mapping, Optional, Tuple, Union
 
 from repro.faults.errors import StructuredError, is_retryable
@@ -69,8 +73,9 @@ from repro.service.admission import (
 )
 from repro.service.autoscale import Autoscaler, ScaleSnapshot
 from repro.service.metrics import MetricsRegistry
-from repro.service.protocol import PlanRequest, PlanResult
+from repro.service.protocol import PlanRequest, PlanResult, ProtocolError
 from repro.service.store import PlanStore
+from repro.sparse.tiling import TiledMatrix
 from repro.streaming.delta import DeltaBatch
 from repro.streaming.lineage import LineageRegistry, LineageUpdate, MatrixLineage
 
@@ -202,6 +207,10 @@ class PlanService:
         self._autoscaler: Optional[Autoscaler] = None
         self._inflight: Dict[str, _Inflight] = {}
         self._lock = threading.Lock()
+        #: (matrix token digest, tile height, tile width) -> the scan of
+        #: that matrix.  Weak: a tiling stays findable only while a
+        #: lineage or an in-flight computation holds it.
+        self._tilings: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._closed = False
         self._discard = False
         self._shutdown_started = False
@@ -222,6 +231,7 @@ class PlanService:
         self._retried = m.counter("plans_retried")
         self._deltas_applied = m.counter("deltas_applied")
         self._tiles_repaired = m.counter("tiles_repaired")
+        self._tilings_reused = m.counter("tilings_reused")
         self._adm_shed = m.counter("admission_shed")
         self._adm_degraded = m.counter("admission_degraded")
         self._adm_uncalibrated = m.counter("admission_uncalibrated")
@@ -330,7 +340,7 @@ class PlanService:
                     with self._lock:
                         self._inflight.pop(digest, None)
                     self._rejected.inc()
-                    raise AdmissionRejected(self._retry_after()) from None
+                    raise AdmissionRejected(self.retry_after_hint()) from None
             self._queue_gauge.set(self._queue.qsize())
         self._accepted.inc()
         if not primary:
@@ -516,7 +526,7 @@ class PlanService:
             self._rejected.inc()
             self._adm_shed.inc()
             raise AdmissionRejected(
-                self._retry_after(), tier=tier, reason=decision.reason
+                self.retry_after_hint(), tier=tier, reason=decision.reason
             )
         deadline_rel = (
             request.deadline_s
@@ -539,7 +549,7 @@ class PlanService:
             self._rejected.inc()
             self._adm_shed.inc()
             raise AdmissionRejected(
-                self._retry_after(), tier=tier, reason=reason
+                self.retry_after_hint(), tier=tier, reason=reason
             ) from None
         admission.enqueued(decision)
         return None
@@ -557,18 +567,16 @@ class PlanService:
         p50 = self._plan_wall.percentile(50)
         return max(0.05, min(p50 if p50 > 0 else 0.1, 5.0))
 
-    # Kept as an alias: earlier callers reached for the private name.
-    _retry_after = retry_after_hint
-
     def _degraded_plan(
         self, request: PlanRequest, digest: str, tracer: Any
     ) -> Optional[PlanResult]:
         """Roofline-only fallback for a request whose wait bound elapsed.
 
         Skips the scan/partition/format-generation pipeline entirely:
-        resolve the matrix, predict the whole-matrix runtime of each
-        worker group with the holistic roofline (PCIe-capped bandwidth
-        for the hot group, as in the IUnaware baseline), and answer with
+        resolve the matrix (or take it from a cached scan), predict the
+        whole-matrix runtime of each worker group with the holistic
+        roofline (PCIe-capped bandwidth for the hot group, as in the
+        IUnaware baseline), and answer with
         the faster group's homogeneous plan.  The result is *not*
         published to the store -- it is a coarse stopgap, not the real
         plan (docs/faults.md).  Returns ``None`` if even the fallback
@@ -580,8 +588,11 @@ class PlanService:
         start = time.monotonic()
         try:
             with tracer.span("service.degraded", cat="service", digest=digest[:12]):
-                matrix = request.resolve_matrix()
                 arch = request.build_architecture()
+                content, _, tiled = self._source(request, digest, arch)
+                matrix = (
+                    request.resolve_matrix(content) if tiled is None else tiled.matrix
+                )
                 # Same drain-rate caps as the contention evaluator: the hot
                 # group is serialized through PCIe *and* DRAM; the cold
                 # group through DRAM (and its own aggregate peak rate).
@@ -740,18 +751,57 @@ class PlanService:
         with self._lock:
             self._errors.append(record)
 
+    def _source(
+        self, request: PlanRequest, digest: str, arch: Any
+    ) -> Tuple[Optional[bytes], Tuple[str, int, int], Optional[TiledMatrix]]:
+        """``(file bytes, tiling key, cached tiling or None)`` for a request.
+
+        A ``matrix_path`` file is read once here and must still hash to
+        ``digest``; the caller parses these same bytes, so a plan is never
+        stored under the digest of content it was not computed from.
+        """
+        from repro.experiments.cache import stable_digest
+
+        content = None
+        if request.matrix_path is not None:
+            content = request.read_matrix_file()
+        token = request.matrix_token(content)
+        if content is not None and request.digest(token) != digest:
+            raise ProtocolError(
+                f"matrix_path changed after plan {digest[:12]} was addressed"
+            )
+        key = (stable_digest(token), arch.tile_height, arch.tile_width)
+        with self._lock:
+            tiled = self._tilings.get(key)
+        if tiled is not None:
+            self._tilings_reused.inc()
+        return content, key, tiled
+
     def _compute(self, request: PlanRequest, digest: str) -> PlanResult:
-        """Resolve, preprocess, persist -- the whole Sec. VI-B pipeline."""
+        """Resolve, preprocess, persist -- the whole Sec. VI-B pipeline.
+
+        The scan is shared: a matrix already tiled with this tile shape
+        (for another architecture, say) is reused, not generated again.
+        """
         from repro.pipeline.preprocess import HotTilesPreprocessor
 
         tracer = get_tracer()
         start = time.monotonic()
-        with tracer.span("service.resolve_matrix", cat="service"):
-            matrix = request.resolve_matrix()
         arch = request.build_architecture()
-        with tracer.span("service.preprocess", cat="service"):
+        content, key, tiled = self._source(request, digest, arch)
+        if tiled is None:
+            with tracer.span("service.resolve_matrix", cat="service"):
+                matrix = request.resolve_matrix(content)
+        else:
+            matrix = tiled.matrix
+        with tracer.span(
+            "service.preprocess", cat="service", reused=tiled is not None
+        ):
             preprocessor = HotTilesPreprocessor(arch, cache_aware=request.cache_aware)
-            preprocess = preprocessor.run(matrix)
+            preprocess = preprocessor.run(matrix, tiled=tiled)
+        if tiled is None:
+            with self._lock:
+                self._tilings.setdefault(key, preprocess.tiled)
         with tracer.span("service.save_artifacts", cat="service", digest=digest[:12]):
             artifacts = tuple(self.store.save_artifacts(digest, preprocess))
         result = PlanResult.from_preprocess(

@@ -18,6 +18,7 @@ artifacts.
 from __future__ import annotations
 
 import hashlib
+import io
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -163,32 +164,50 @@ class PlanRequest:
                 raise ProtocolError(f"generator parameter {name!r} must be a number")
 
     # ------------------------------------------------------------------
-    def digest(self) -> str:
+    def read_matrix_file(self) -> bytes:
+        """The bytes of ``matrix_path``, read once.
+
+        :meth:`matrix_token` hashes them and :meth:`resolve_matrix`
+        parses them, so a caller that passes the same bytes to both can
+        never plan one version of the file under another's digest.
+        """
+        try:
+            return Path(self.matrix_path).read_bytes()  # type: ignore[arg-type]
+        except OSError as exc:
+            raise ProtocolError(f"cannot read matrix_path: {exc}") from None
+
+    def matrix_token(self, content: Optional[bytes] = None) -> Tuple[str, Any]:
+        """The matrix *content* part of :meth:`digest`.
+
+        The short name or generator spec for deterministic sources, and
+        a SHA-256 of the file bytes for ``matrix_path`` (so editing the
+        file changes the token even if the path does not).  ``content``
+        is the file's bytes when the caller already read them with
+        :meth:`read_matrix_file`; otherwise the file is read here.
+        """
+        if self.matrix is not None:
+            return ("short", self.matrix)
+        if self.generator is not None:
+            return ("generator", dict(self.generator))
+        if content is None:
+            content = self.read_matrix_file()
+        return ("file", hashlib.sha256(content).hexdigest())
+
+    def digest(self, matrix_token: Optional[Tuple[str, Any]] = None) -> str:
         """The content address of this plan.
 
         Built from :func:`stable_digest` over the code version, the
-        architecture selection, the strategy options, and the matrix
-        *content* token: the short name or generator spec for
-        deterministic sources, and a SHA-256 of the file bytes for
-        ``matrix_path`` (so editing the file changes the digest even if
-        the path does not).  ``timeout_s``, ``tenant``, ``tier``, and
-        ``deadline_s`` are deliberately excluded -- they shape the wait
-        and the scheduling, not the plan, so two tenants asking for the
-        same matrix still coalesce onto one computation.
+        architecture selection, the strategy options, and
+        :meth:`matrix_token` (computed here unless given).
+        ``timeout_s``, ``tenant``, ``tier``, and ``deadline_s`` are
+        deliberately excluded -- they shape the wait and the scheduling,
+        not the plan, so two tenants asking for the same matrix still
+        coalesce onto one computation.
         """
         from repro.experiments.cache import code_version, stable_digest
 
-        if self.matrix is not None:
-            matrix_token: Any = ("short", self.matrix)
-        elif self.generator is not None:
-            matrix_token = ("generator", dict(self.generator))
-        else:
-            path = Path(self.matrix_path)  # type: ignore[arg-type]
-            try:
-                content = path.read_bytes()
-            except OSError as exc:
-                raise ProtocolError(f"cannot read matrix_path: {exc}") from None
-            matrix_token = ("file", hashlib.sha256(content).hexdigest())
+        if matrix_token is None:
+            matrix_token = self.matrix_token()
         return stable_digest(
             (
                 "plan-request",
@@ -200,8 +219,13 @@ class PlanRequest:
             )
         )
 
-    def resolve_matrix(self):
-        """Materialize the requested :class:`~repro.sparse.matrix.SparseMatrix`."""
+    def resolve_matrix(self, content: Optional[bytes] = None):
+        """Materialize the requested :class:`~repro.sparse.matrix.SparseMatrix`.
+
+        For ``matrix_path`` requests ``content`` is the file's bytes as
+        returned by :meth:`read_matrix_file`; they are parsed instead of
+        reading the file again.
+        """
         from repro.sparse import generators
 
         if self.matrix is not None:
@@ -216,10 +240,10 @@ class PlanRequest:
         if self.matrix_path is not None:
             from repro.sparse.mmio import read_matrix_market
 
-            try:
-                return read_matrix_market(self.matrix_path)
-            except OSError as exc:
-                raise ProtocolError(f"cannot read matrix_path: {exc}") from None
+            if content is None:
+                content = self.read_matrix_file()
+            text = io.TextIOWrapper(io.BytesIO(content), encoding="ascii")
+            return read_matrix_market(text)
         spec = dict(self.generator)  # type: ignore[arg-type]
         kind = spec.pop("kind")
         factory = {

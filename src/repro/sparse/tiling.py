@@ -141,6 +141,7 @@ class TiledMatrix:
         ).astype(np.int64)
 
         self._inv_perm: Optional[np.ndarray] = None
+        self._freeze()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -183,11 +184,28 @@ class TiledMatrix:
         self.stats = stats
         self.panel_uniq_rids = panel_uniq_rids
         self.panel_nnz = panel_nnz
+        self._freeze()
         inv = np.empty(perm.shape[0], dtype=np.int64)
         inv[perm] = np.arange(perm.shape[0], dtype=np.int64)
         inv.flags.writeable = False
         self._inv_perm = inv
         return self
+
+    def _freeze(self) -> None:
+        """Flag every array non-writeable, as :class:`SparseMatrix` does.
+
+        One tiling may be shared by several plan lineages (the plan
+        service reuses it across architectures with the same tile
+        shape), so no holder may mutate it in place; a delta builds a
+        new tiling instead.
+        """
+        stats = self.stats
+        for arr in (
+            self.perm, self.rows, self.cols, self.vals, self.tile_offsets,
+            self.panel_uniq_rids, self.panel_nnz, stats.tile_row,
+            stats.tile_col, stats.nnz, stats.uniq_rids, stats.uniq_cids,
+        ):
+            arr.flags.writeable = False
 
     def apply_delta(self, delta) -> "TiledMatrix":
         """Apply a :class:`repro.streaming.delta.DeltaBatch` incrementally.

@@ -56,6 +56,33 @@ class TestPipeline:
         assert result.hot_format is None
         assert result.cold_format.nnz == matrix.nnz
 
+    def test_given_tiling_is_used_not_rebuilt(self, matrix, monkeypatch):
+        arch = tiny_arch()
+        fresh = HotTilesPreprocessor(arch).run(matrix)
+        tiled = fresh.tiled
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the given tiling should be used")
+
+        monkeypatch.setattr(preprocess, "TiledMatrix", no_scan)
+        again = HotTilesPreprocessor(arch).run(matrix, tiled=tiled)
+        assert again.tiled is tiled
+        assert np.array_equal(
+            again.partition.chosen.assignment, fresh.partition.chosen.assignment
+        )
+
+    def test_given_tiling_must_match(self, matrix):
+        from repro.sparse.tiling import TiledMatrix
+
+        arch = tiny_arch()
+        pre = HotTilesPreprocessor(arch)
+        wrong_shape = TiledMatrix(matrix, arch.tile_height, arch.tile_width * 2)
+        with pytest.raises(ValueError, match="tiles"):
+            pre.run(matrix, tiled=wrong_shape)
+        other = generators.community_blocks(128, 3000, 8, seed=7)
+        with pytest.raises(ValueError, match="another matrix"):
+            pre.run(matrix, tiled=TiledMatrix(other, arch.tile_height, arch.tile_width))
+
 
 class TestHomogeneousBaseline:
     """The Fig. 18 baseline is timed on demand, never inside ``run()``."""

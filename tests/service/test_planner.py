@@ -162,6 +162,38 @@ class TestTimeoutAndCancellation:
             service.plan(bad)
         assert service.metrics.counter("requests_failed").value == 1
 
+    def test_matrix_file_rewritten_after_digest_is_refused(self, tmp_path):
+        """The file is hashed and parsed from one read; a changed file
+        fails the plan instead of storing it under the old digest."""
+        from repro.sparse import generators
+        from repro.sparse.mmio import write_matrix_market
+
+        path = tmp_path / "m.mtx"
+        write_matrix_market(generators.uniform_random(64, 64, 300, seed=1), path)
+        request = PlanRequest.from_dict({"matrix_path": str(path)})
+        old_digest = request.digest()
+        svc = PlanService(store=PlanStore(tmp_path / "p"), workers=1)
+        real_compute = svc._compute
+
+        def rewrite_then_compute(req, digest):
+            write_matrix_market(generators.uniform_random(64, 64, 300, seed=2), path)
+            return real_compute(req, digest)
+
+        svc._compute = rewrite_then_compute
+        try:
+            with pytest.raises(PlanFailed) as info:
+                svc.plan(request)
+            assert info.value.error.type == "ProtocolError"
+            assert "matrix_path changed" in info.value.error.message
+            assert svc.store.get(old_digest) is None
+            assert len(svc.lineages) == 0
+            svc._compute = real_compute
+            result, served = svc.plan(request)
+        finally:
+            svc.close()
+        assert served == "computed"
+        assert result.digest == request.digest() != old_digest
+
 
 class TestShutdown:
     def test_close_rejects_new_requests(self, tmp_path):

@@ -1,5 +1,6 @@
 """PlanRequest / PlanResult protocol tests."""
 
+import numpy as np
 import pytest
 
 from repro.service.protocol import PlanRequest, PlanResult, ProtocolError
@@ -92,6 +93,22 @@ class TestDigest:
         d1 = req.digest()
         write_matrix_market(generators.uniform_random(32, 32, 100, seed=2), path)
         assert req.digest() != d1
+
+    def test_matrix_path_token_and_parse_use_given_bytes(self, tmp_path):
+        from repro.sparse import generators
+        from repro.sparse.mmio import write_matrix_market
+
+        path = tmp_path / "m.mtx"
+        first = generators.uniform_random(32, 32, 100, seed=1)
+        write_matrix_market(first, path)
+        req = PlanRequest.from_dict({"matrix_path": str(path)})
+        content = req.read_matrix_file()
+        assert req.digest(req.matrix_token(content)) == req.digest()
+        write_matrix_market(generators.uniform_random(32, 32, 100, seed=2), path)
+        assert req.digest(req.matrix_token(content)) != req.digest()
+        parsed = req.resolve_matrix(content)
+        assert np.array_equal(parsed.rows, first.rows)
+        assert np.array_equal(parsed.cols, first.cols)
 
     def test_missing_matrix_path(self, tmp_path):
         req = PlanRequest.from_dict({"matrix_path": str(tmp_path / "nope.mtx")})

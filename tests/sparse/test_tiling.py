@@ -134,3 +134,37 @@ class TestDensityMap:
         grid = TiledMatrix(m, 16, 16).density_map()
         assert grid.shape == (1, 1)
         assert grid[0, 0] == 2
+
+
+class TestFrozen:
+    """A tiling may be shared by several lineages, so none may write to it."""
+
+    @staticmethod
+    def arrays(tiled):
+        s = tiled.stats
+        return {
+            "perm": tiled.perm, "rows": tiled.rows, "cols": tiled.cols,
+            "vals": tiled.vals, "tile_offsets": tiled.tile_offsets,
+            "panel_uniq_rids": tiled.panel_uniq_rids, "panel_nnz": tiled.panel_nnz,
+            "tile_row": s.tile_row, "tile_col": s.tile_col, "nnz": s.nnz,
+            "uniq_rids": s.uniq_rids, "uniq_cids": s.uniq_cids,
+        }
+
+    def assert_frozen(self, tiled):
+        for name, arr in self.arrays(tiled).items():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = 0
+            assert not arr.flags.writeable, name
+
+    def test_fresh_tiling_is_read_only(self, mixed_matrix):
+        self.assert_frozen(TiledMatrix(mixed_matrix, 64, 64))
+
+    def test_delta_repaired_tiling_is_read_only(self, mixed_matrix):
+        from repro.streaming.delta import DeltaBatch
+
+        tiled = TiledMatrix(mixed_matrix, 64, 64)
+        repaired = tiled.apply_delta(
+            DeltaBatch.random(mixed_matrix, inserts=40, deletes=20, seed=1)
+        )
+        assert repaired is not tiled
+        self.assert_frozen(repaired)
