@@ -5,18 +5,19 @@ updates against one matrix and, at every step, runs *both* maintenance
 strategies side by side:
 
 - **incremental** -- :func:`~repro.streaming.apply.apply_delta_tiled`
-  patches the tiling in place and :func:`~repro.core.partition.
-  repair_plan` re-evaluates only the dirty tiles against the memoized
+  merges and retiles, and :func:`~repro.core.partition.repair_plan`
+  re-evaluates only the dirty tiles against the memoized
   :class:`~repro.core.partition.PartitionCache`, exactly the path the
   plan service takes for ``POST /matrices/{digest}/delta``;
-- **scratch** -- retile the post-delta matrix and run the full
-  N log N partition, the ground truth.
+- **scratch** -- :func:`rebuild_matrix` re-sorts the post-delta matrix
+  from its own previous state (never calling the merge), which is then
+  tiled and given the full N log N partition: the ground truth.
 
 Two differential gates fall out (docs/streaming.md):
 
-1. the incrementally maintained :class:`~repro.sparse.tiling.
-   TiledMatrix` must be **bit-identical** to the scratch retiling --
-   every array, every dtype;
+1. the maintained :class:`~repro.sparse.tiling.
+   TiledMatrix` must be **bit-identical** to the scratch tiling --
+   every array, every dtype -- which pins the merge across steps;
 2. the repaired plan's predicted runtime must be within ``epsilon``
    (relative) of the from-scratch plan's.  Repair serves clean tiles
    from cached costs that are bit-identical to recomputing them and
@@ -46,6 +47,7 @@ __all__ = [
     "DeltaReplayRow",
     "DeltaReplayResult",
     "delta_replay",
+    "rebuild_matrix",
     "tiled_bit_identical",
     "DEFAULT_EPSILON",
 ]
@@ -83,6 +85,27 @@ def tiled_bit_identical(a: TiledMatrix, b: TiledMatrix) -> bool:
     )
 
 
+def rebuild_matrix(matrix: SparseMatrix, delta: DeltaBatch) -> SparseMatrix:
+    """The post-delta matrix, built from coordinates by sorting.
+
+    Independent of :func:`~repro.streaming.apply.apply_delta_matrix`:
+    every cell the batch deletes or inserts is dropped from ``matrix``,
+    the inserts are appended, and the :class:`SparseMatrix` constructor
+    re-sorts the lot.  Same delete-then-upsert semantics, no merge.
+    """
+    n_cols = np.int64(max(matrix.n_cols, 1))
+    touched = np.concatenate((delta.delete_rows * n_cols + delta.delete_cols,
+                              delta.insert_rows * n_cols + delta.insert_cols))
+    keep = ~np.isin(matrix.rows * n_cols + matrix.cols, touched)
+    return SparseMatrix(
+        matrix.n_rows, matrix.n_cols,
+        np.concatenate((matrix.rows[keep], delta.insert_rows)),
+        np.concatenate((matrix.cols[keep], delta.insert_cols)),
+        np.concatenate((matrix.vals[keep], delta.insert_vals.astype(matrix.dtype))),
+        dtype=matrix.dtype,
+    )
+
+
 @dataclass(frozen=True)
 class DeltaReplayRow:
     """One replay step: the delta, the repair, and the differential."""
@@ -95,7 +118,6 @@ class DeltaReplayRow:
     n_tiles: int  #: non-empty tiles after the delta
     tiles_repaired: int
     repaired_fraction: float
-    rebuilt: bool  #: incremental path fell back to a full retile
     label: str  #: heuristic chosen by the repaired plan
     repaired_ms: float  #: predicted runtime of the repaired plan
     scratch_ms: float  #: predicted runtime of the from-scratch plan
@@ -117,7 +139,6 @@ class DeltaReplayRow:
             "n_tiles": self.n_tiles,
             "tiles_repaired": self.tiles_repaired,
             "repaired_fraction": self.repaired_fraction,
-            "rebuilt": self.rebuilt,
             "label": self.label,
             "repaired_ms": self.repaired_ms,
             "scratch_ms": self.scratch_ms,
@@ -239,6 +260,7 @@ def delta_replay(
     region = tuple(int(v) for v in insert_region) if insert_region else None
     tiled = TiledMatrix(matrix, arch.tile_height, arch.tile_width)
     cache = plan_cache_from(partitioner, tiled)
+    scratch_matrix = matrix
 
     rows: List[DeltaReplayRow] = []
     for step in range(steps):
@@ -253,7 +275,8 @@ def delta_replay(
         outcome = repair_plan(partitioner, tiled, cache, report.dirty_tile_keys)
         cache = outcome.cache
 
-        scratch_tiled = TiledMatrix(tiled.matrix, arch.tile_height, arch.tile_width)
+        scratch_matrix = rebuild_matrix(scratch_matrix, delta)
+        scratch_tiled = TiledMatrix(scratch_matrix, arch.tile_height, arch.tile_width)
         scratch = partitioner.partition(scratch_tiled)
 
         rows.append(
@@ -266,7 +289,6 @@ def delta_replay(
                 n_tiles=tiled.n_tiles,
                 tiles_repaired=outcome.stats.tiles_repaired,
                 repaired_fraction=outcome.stats.repaired_fraction,
-                rebuilt=report.rebuilt,
                 label=outcome.result.chosen.label,
                 repaired_ms=outcome.result.chosen.predicted_time_s * 1e3,
                 scratch_ms=scratch.chosen.predicted_time_s * 1e3,

@@ -143,54 +143,6 @@ class TiledMatrix:
         self._inv_perm: Optional[np.ndarray] = None
         self._freeze()
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def _from_parts(
-        cls,
-        matrix: SparseMatrix,
-        tile_height: int,
-        tile_width: int,
-        n_panel_rows: int,
-        n_panel_cols: int,
-        perm: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        vals: np.ndarray,
-        tile_offsets: np.ndarray,
-        stats: TileStats,
-        panel_uniq_rids: np.ndarray,
-        panel_nnz: np.ndarray,
-    ) -> "TiledMatrix":
-        """Assemble a tiling from precomputed parts, skipping the argsort.
-
-        Trusted internal constructor for the incremental delta-merge path
-        (:mod:`repro.streaming.apply`), which repairs every field so that
-        the result is bit-identical to ``TiledMatrix(matrix, th, tw)``.
-        The inverse permutation is refreshed eagerly: the merge already
-        holds the new ``perm``, so one scatter keeps the cache warm instead
-        of invalidating it.
-        """
-        self = object.__new__(cls)
-        self.matrix = matrix
-        self.tile_height = int(tile_height)
-        self.tile_width = int(tile_width)
-        self.n_panel_rows = int(n_panel_rows)
-        self.n_panel_cols = int(n_panel_cols)
-        self.perm = perm
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self.tile_offsets = tile_offsets
-        self.stats = stats
-        self.panel_uniq_rids = panel_uniq_rids
-        self.panel_nnz = panel_nnz
-        self._freeze()
-        inv = np.empty(perm.shape[0], dtype=np.int64)
-        inv[perm] = np.arange(perm.shape[0], dtype=np.int64)
-        inv.flags.writeable = False
-        self._inv_perm = inv
-        return self
-
     def _freeze(self) -> None:
         """Flag every array non-writeable, as :class:`SparseMatrix` does.
 
@@ -208,10 +160,10 @@ class TiledMatrix:
             arr.flags.writeable = False
 
     def apply_delta(self, delta) -> "TiledMatrix":
-        """Apply a :class:`repro.streaming.delta.DeltaBatch` incrementally.
+        """Apply a :class:`repro.streaming.delta.DeltaBatch`.
 
-        Returns a repaired tiling (or ``self`` for an empty batch)
-        bit-identical to retiling the mutated matrix from scratch; see
+        Returns the mutated matrix retiled with this tile shape (or
+        ``self`` for an empty batch); see
         :func:`repro.streaming.apply.apply_delta_tiled`, which also reports
         the structurally dirty tiles.
         """

@@ -8,12 +8,10 @@ track cheaply:
 - :mod:`repro.streaming.delta` -- the :class:`DeltaBatch` record (nnz
   inserts / deletes / value overwrites) with seeded generators for tests
   and load generation,
-- :mod:`repro.streaming.apply` -- incremental application:
-  :func:`apply_delta_matrix` merges a batch into the canonical COO/CSR
-  arrays without a global re-sort, and :func:`apply_delta_tiled` repairs a
-  :class:`~repro.sparse.tiling.TiledMatrix` in place of retiling,
-  bit-identical to the from-scratch construction, while reporting which
-  tiles went structurally dirty,
+- :mod:`repro.streaming.apply` -- :func:`apply_delta_matrix` merges a
+  batch into the canonical COO/CSR arrays without a global re-sort, and
+  :func:`apply_delta_tiled` retiles the result and reports which tiles
+  went structurally dirty,
 - :mod:`repro.streaming.lineage` -- the service-side
   :class:`MatrixLineage` / :class:`LineageRegistry` tracking the mutable
   head of each registered matrix so ``POST /matrices/{digest}/delta`` can

@@ -10,10 +10,10 @@ and the digest chain
     head_{k+1} = stable_digest(("delta-plan", head_k, delta_digest))
 
 so every post-delta plan gets its own content address while the chain
-stays verifiable.  Applying a batch runs the incremental pipeline --
-:func:`~repro.streaming.apply.apply_delta_tiled` then
-:func:`~repro.core.partition.repair_plan` -- under the lineage's lock,
-serializing writers per matrix.
+stays verifiable.  Applying a batch merges it into the matrix and
+retiles (:func:`~repro.streaming.apply.apply_delta_tiled`), then
+re-costs only the dirty tiles (:func:`~repro.core.partition.repair_plan`),
+under the lineage's lock, serializing writers per matrix.
 
 The :class:`LineageRegistry` resolves *any* digest a lineage has ever
 carried back to the lineage, which lets ``POST /matrices/{digest}/delta``
@@ -134,11 +134,7 @@ class MatrixLineage:
                 return LineageUpdate(
                     prev_digest=self.head_digest,
                     new_digest=self.head_digest,
-                    report=DeltaApplyReport(
-                        n_inserted=0, n_overwritten=0, n_deleted=0,
-                        dirty_tile_keys=self.cache.tile_keys[:0],
-                        tiles_before=n, tiles_after=n, rebuilt=False,
-                    ),
+                    report=apply_delta_tiled(self.tiled, delta)[1],
                     repair=RepairStats(
                         n_tiles=n, tiles_repaired=0, tiles_pinned=n,
                         new_tiles=0, dropped_tiles=0,
